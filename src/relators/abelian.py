@@ -263,6 +263,19 @@ def slope_basis(p: Presentation) -> list[Slope]:
     return out
 
 
+def _coefficient_range(s: int, pv: int, box: int) -> range:
+    """The integers c with |s + c*pv| <= box (pv != 0), by exact floor
+    division: c*pv must lie in [-box - s, box - s].
+
+    >>> list(_coefficient_range(1, 2, 4)), list(_coefficient_range(1, -2, 4))
+    ([-2, -1, 0, 1], [-1, 0, 1, 2])
+    """
+    lo, hi = -box - s, box - s
+    if pv < 0:
+        lo, hi = hi, lo
+    return range(-(-lo // pv), hi // pv + 1)
+
+
 def _coefficient_box_points(basis: list[Slope], box: int) -> Iterable[tuple[int, ...]]:
     """All lattice points of the span with max-norm <= box, via the staircase
     structure of the Hermite basis (pivot coordinates bound the coefficients)."""
@@ -281,13 +294,7 @@ def _coefficient_box_points(basis: list[Slope], box: int) -> Iterable[tuple[int,
             yield tuple(partial)
             return
         j = pivots[a]
-        pv = rows[a][j]
-        s = partial[j]
-        # integer c with |s + c*pv| <= box
-        ends = sorted(((-box - s) / pv, (box - s) / pv))
-        lo = math.ceil(ends[0])
-        hi = math.floor(ends[1])
-        for c in range(lo, hi + 1):
+        for c in _coefficient_range(partial[j], rows[a][j], box):
             if c:
                 for i in range(n):
                     partial[i] += c * rows[a][i]

@@ -5,6 +5,13 @@ experiment, tau-count.  Relator files hold one word per line in the text
 encoding (``x1 x2 X1 X2``); blank lines and ``#`` comments are ignored;
 ``-`` reads stdin.  Structured results are emitted as JSON, experiment
 results as CSV.
+
+Exit status: 0 success, 1 the checked property is false (check-sc,
+mincond), 2 bad input or a refused budget (`ValueError`, or `OSError` from
+a file that cannot be read or written), 3 a resource cap was hit
+(`TermLimitExceeded`).  These errors are reported as one JSON line on
+stderr, ``{"error": <exception type>, "message": <text>}``, with no
+traceback.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .mincond import (
     check_minimum_condition,
     tau_deficiency_one,
 )
+from .novikov import TermLimitExceeded, injectivity_certificate
 from .smallcanc import check_small_cancellation
 from .words import (
     CyclicWord,
@@ -101,7 +109,7 @@ def _read_lines(path: str) -> list[str]:
 def _read_relators(path: str, rank: Optional[int]) -> tuple[CyclicWord, ...]:
     lines = _read_lines(path)
     if not lines:
-        raise SystemExit("no relators in input")
+        raise ValueError("no relators in input")
     if rank is None:
         rank = max(
             max(abs(a) for a in parse_cyclic_word(line).letters) for line in lines
@@ -177,8 +185,6 @@ def _cmd_slopes(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .novikov import injectivity_certificate
-
     phi = _parse_phi(args.phi)
     relators = _read_relators(args.relators, len(phi))
     p = Presentation(len(phi), relators)
@@ -251,9 +257,12 @@ def _cmd_experiment(args) -> int:
             cfg = dataclasses.replace(cfg, **overrides)
     else:
         if not (args.n and args.m and args.lengths and args.predicate):
-            raise SystemExit(
-                "experiment needs --config or all of --n --m --lengths --predicate"
+            # a usage error, reported like argparse's own (status 2)
+            sys.stderr.write(
+                "relators experiment: error: experiment needs --config or all"
+                " of --n --m --lengths --predicate\n"
             )
+            raise SystemExit(2)
         spec = PredicateSpec(
             name=args.predicate,
             lam=args.lam,
@@ -392,7 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TermLimitExceeded as exc:
+        return _error(exc, 3)
+    except (ValueError, OSError) as exc:
+        return _error(exc, 2)
+
+
+def _error(exc: Exception, status: int) -> int:
+    error = {"error": type(exc).__name__, "message": str(exc)}
+    sys.stderr.write(json.dumps(error) + "\n")
+    return status
 
 
 if __name__ == "__main__":

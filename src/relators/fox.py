@@ -6,6 +6,11 @@ coefficients are `fractions.Fraction`, never floats.  The derivative of a
 word r with respect to generator j collects +u for every occurrence
 r = u x_j v and -(u x_j^-1) for every occurrence r = u x_j^-1 v; this is the
 unique derivation with d(x_i)/d(x_j) = delta_ij.
+
+Products run on a term-dict kernel: a dict from reduced letter tuples to
+nonzero coefficients, kept as Python ints while they are integral (Fox
+derivatives and unit-normalized rows always are) and as `Fraction` only
+otherwise.  `GroupRingElement` is the validated public view of such a dict.
 """
 
 from __future__ import annotations
@@ -15,7 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .words import CyclicWord, Presentation, Word, format_word, letter_order, parse_letters
+from .words import (
+    CyclicWord,
+    Presentation,
+    Word,
+    _trusted_word,
+    format_word,
+    letter_order,
+    parse_letters,
+)
 
 
 class GroupRingElement:
@@ -52,6 +65,15 @@ class GroupRingElement:
 
     def __setattr__(self, *args):
         raise AttributeError("GroupRingElement is immutable")
+
+    @staticmethod
+    def _trusted(terms: dict[Word, Fraction], rank: int) -> "GroupRingElement":
+        """Wrap a dict already known to hold rank-`rank` words with nonzero
+        `Fraction` coefficients; nothing is checked or copied."""
+        e = object.__new__(GroupRingElement)
+        object.__setattr__(e, "_terms", terms)
+        object.__setattr__(e, "rank", rank)
+        return e
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -99,10 +121,12 @@ class GroupRingElement:
                 acc.pop(w, None)
             else:
                 acc[w] = s
-        return GroupRingElement(acc, self.rank)
+        return GroupRingElement._trusted(acc, self.rank)
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self._terms.items()}, self.rank)
+        return GroupRingElement._trusted(
+            {w: -c for w, c in self._terms.items()}, self.rank
+        )
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
@@ -111,7 +135,9 @@ class GroupRingElement:
         c = Fraction(c)
         if c == 0:
             return GroupRingElement.zero(self.rank)
-        return GroupRingElement({w: c * k for w, k in self._terms.items()}, self.rank)
+        return GroupRingElement._trusted(
+            {w: c * k for w, k in self._terms.items()}, self.rank
+        )
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         return ring_multiply(self, other)
@@ -147,6 +173,71 @@ def _word_sort_key(w: Word):
     return (len(w), tuple(letter_order(a) for a in w.letters))
 
 
+# -- term-dict kernel ---------------------------------------------------
+#
+# A term dict maps freely reduced letter tuples to nonzero coefficients,
+# ints while integral, `Fraction` otherwise.
+
+Terms = dict[tuple[int, ...], int | Fraction]
+
+
+def _kernel_terms(e: GroupRingElement) -> Terms:
+    """Term dict of a public element, integral coefficients as ints."""
+    return {
+        w.letters: c.numerator if c.denominator == 1 else c
+        for w, c in e._terms.items()
+    }
+
+
+# shared Fraction objects for the small integral coefficients that dominate
+_SMALL_FRACTIONS = {c: Fraction(c) for c in range(-16, 17) if c}
+
+
+def _from_kernel(terms: Terms, rank: int) -> GroupRingElement:
+    """Trusted constructor for kernel output: the words are reduced and in
+    range by construction and the coefficients nonzero, so only the public
+    types are built."""
+    small = _SMALL_FRACTIONS.get
+    return GroupRingElement._trusted(
+        {
+            _trusted_word(w, rank): small(c) or Fraction(c)
+            for w, c in terms.items()
+        },
+        rank,
+    )
+
+
+def _mul_terms(a: Terms, b: Terms, acc: Terms | None = None) -> Terms:
+    """Add the product a*b into `acc` (a new dict by default) and return it.
+
+    Both factors hold reduced words, so u*v can cancel only where u ends and
+    v begins: strip the longest suffix of u that is inverse to a prefix of
+    v and join the rest.
+    """
+    if acc is None:
+        acc = {}
+    get = acc.get
+    b_items = list(b.items())
+    for u, cu in a.items():
+        nu = len(u)
+        last_inv = -u[-1] if u else 0
+        for v, cv in b_items:
+            if v and v[0] == last_inv:
+                k = 1
+                top = min(nu, len(v))
+                while k < top and u[nu - 1 - k] == -v[k]:
+                    k += 1
+                w = u[: nu - k] + v[k:]
+            else:
+                w = u + v
+            c = get(w, 0) + cu * cv
+            if c:
+                acc[w] = c
+            else:
+                del acc[w]
+    return acc
+
+
 def ring_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Bilinear extension of concatenate-and-reduce.
 
@@ -156,16 +247,7 @@ def ring_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     '1*[] + 1*[x1 x2] + 1*[x2 X1] + 1*[x2 x2]'
     """
     a._check(b)
-    acc: dict[Word, Fraction] = {}
-    for u, cu in a._terms.items():
-        for v, cv in b._terms.items():
-            w = u * v
-            s = acc.get(w, Fraction(0)) + cu * cv
-            if s == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-    return GroupRingElement(acc, a.rank)
+    return _from_kernel(_mul_terms(_kernel_terms(a), _kernel_terms(b)), a.rank)
 
 
 def fox_derivative(r: Word | CyclicWord, j: int) -> GroupRingElement:
@@ -182,21 +264,21 @@ def fox_derivative(r: Word | CyclicWord, j: int) -> GroupRingElement:
     if not (1 <= j <= rank):
         raise ValueError("generator index out of range")
     letters = r.letters
-    acc: dict[Word, Fraction] = {}
-
-    def bump(w: Word, c: int):
-        s = acc.get(w, Fraction(0)) + c
-        if s == 0:
-            acc.pop(w, None)
-        else:
-            acc[w] = s
-
+    acc: Terms = {}
+    # prefixes of a reduced word are reduced
     for k, a in enumerate(letters):
         if a == j:
-            bump(Word(letters[:k], rank), 1)
+            w, c = letters[:k], 1
         elif a == -j:
-            bump(Word(letters[: k + 1], rank), -1)
-    return GroupRingElement(acc, rank)
+            w, c = letters[: k + 1], -1
+        else:
+            continue
+        s = acc.get(w, 0) + c
+        if s:
+            acc[w] = s
+        else:
+            del acc[w]
+    return _from_kernel(acc, rank)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .abelian import Slope
-from .fox import GroupRingElement, jacobian
+from .fox import (
+    GroupRingElement,
+    JacobianMatrix,
+    Terms,
+    _from_kernel,
+    _kernel_terms,
+    _mul_terms,
+    jacobian,
+)
 from .mincond import (
     MinConditionFailure,
     MinConditionWitness,
@@ -122,13 +130,17 @@ def _classify_case(r: CyclicWord, phi: Slope, i_gen: int, n_gen: int) -> str:
 
 
 def verify_fox_lowest_terms(
-    relators: Sequence[CyclicWord], phi: Slope
+    relators: Sequence[CyclicWord],
+    phi: Slope,
+    *,
+    _jac: Optional[JacobianMatrix] = None,
 ) -> LowestTermReport:
     """Check the graded lowest-term structure of the Jacobian for a tuple in
     *standard* minimum form (identity witness): for each row i the diagonal
     entry d(r_i)/d(x_i) has a one-word lowest component at degree P_i (the
     height-profile minimum) with coefficient +-1, and every other entry of
-    the row has min degree >= P_i + 1.  Violations raise ValueError."""
+    the row has min degree >= P_i + 1.  Violations raise ValueError.
+    `_jac` is the tuple's Jacobian when the caller has already built it."""
     relators = tuple(relators)
     witness = standard_witness(relators, phi)
     if isinstance(witness, MinConditionFailure):
@@ -137,7 +149,7 @@ def verify_fox_lowest_terms(
             f" ({witness.detail})"
         )
     n = relators[0].rank
-    jac = jacobian(Presentation(n, relators))
+    jac = _jac if _jac is not None else jacobian(Presentation(n, relators))
     rows = []
     for i, r in enumerate(relators):
         p_i = height_profile(r, phi).min_height
@@ -195,50 +207,35 @@ class GradedCertificate:
     relabeling: Optional[Relabeling] = None
 
 
-def _mat_eye(size: int, rank: int) -> Matrix:
-    one = GroupRingElement.one(rank)
-    zero = GroupRingElement.zero(rank)
-    return tuple(
-        tuple(one if i == j else zero for j in range(size)) for i in range(size)
-    )
-
-
-def _mat_mul(a: Matrix, b: Matrix, rank: int) -> Matrix:
+def _matmul(a: list[list[Terms]], b: list[list[Terms]]) -> list[list[Terms]]:
     size = len(a)
     out = []
     for i in range(size):
         row = []
         for j in range(size):
-            acc = GroupRingElement.zero(rank)
+            acc: Terms = {}
             for k in range(size):
-                if a[i][k].is_zero() or b[k][j].is_zero():
-                    continue
-                acc = acc + a[i][k] * b[k][j]
+                if a[i][k] and b[k][j]:
+                    _mul_terms(a[i][k], b[k][j], acc)
             row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+        out.append(row)
+    return out
 
 
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+def _neg(a: list[list[Terms]]) -> list[list[Terms]]:
+    return [[{w: -c for w, c in e.items()} for e in row] for row in a]
 
 
-def _mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return _mat_add(a, _mat_neg(b))
-
-
-def _mat_terms(a: Matrix) -> int:
-    return sum(e.term_count() for row in a for e in row)
-
-
-def _mat_min_degree(a: Matrix, phi: Slope) -> Optional[int]:
-    degs = [d for row in a for e in row if (d := min_degree(e, phi)) is not None]
-    return min(degs) if degs else None
+def _minus_eye(a: list[list[Terms]]) -> list[list[Terms]]:
+    """a - I, as new dicts."""
+    out = [[dict(e) for e in row] for row in a]
+    for i, row in enumerate(out):
+        c = row[i].get((), 0) - 1
+        if c:
+            row[i][()] = c
+        else:
+            del row[i][()]
+    return out
 
 
 def truncated_neumann_inverse(
@@ -249,6 +246,9 @@ def truncated_neumann_inverse(
 ) -> GradedCertificate:
     """Certificate for A = I + B with mindeg(B) >= 1 (checked literally on
     the given matrix): C_K = sum_{k<K} (-B)^k with exact two-sided errors.
+
+    The series runs on the term-dict kernel of `fox`; the public matrices
+    are built once, at the end.
 
     >>> from .fox import parse_ring_element
     >>> A = ((parse_ring_element("1*[] + -1*[X2]", rank=2),),)
@@ -265,43 +265,65 @@ def truncated_neumann_inverse(
     if size == 0:
         raise ValueError("matrix must be nonempty")
     rank = A[0][0].rank
-    eye = _mat_eye(size, rank)
-    B = _mat_sub(A, eye)
+    if any(e.rank != rank for row in A for e in row):
+        raise ValueError("rank mismatch")
+    height = {g: v for g, v in enumerate(phi.values, start=1)}
+    height.update({-g: -v for g, v in height.items()})
+
+    def degree(w: tuple[int, ...]) -> int:
+        return sum(map(height.__getitem__, w))
+
+    a = [[_kernel_terms(e) for e in row] for row in A]
+    b = _minus_eye(a)
     for i in range(size):
         for j in range(size):
-            d = min_degree(B[i][j], phi)
+            d = min(map(degree, b[i][j]), default=None)
             if d is not None and d < 1:
                 where = "diagonal" if i == j else "off-diagonal"
                 raise ValueError(
                     f"not graded-dominant: {where} entry ({i},{j}) has degree {d} < 1"
                 )
-    neg_b = _mat_neg(B)
-    power = eye  # (-B)^k
-    series = eye  # sum so far
+    neg_b = _neg(b)
+    # (-B)^k, starting from the identity
+    power = [[{(): 1} if i == j else {} for j in range(size)] for i in range(size)]
+    series = [[dict(e) for e in row] for row in power]  # sum so far
+    series_terms = size
     for _ in range(1, order):
-        power = _mat_mul(power, neg_b, rank)
-        if _mat_terms(power) + _mat_terms(series) > term_cap:
+        power = _matmul(power, neg_b)
+        if sum(len(e) for row in power for e in row) + series_terms > term_cap:
             raise TermLimitExceeded(
                 f"term cap {term_cap} exceeded at truncation order {order}"
             )
-        series = _mat_add(series, power)
-    final_power = _mat_mul(power, neg_b, rank)  # (-B)^K
-    err_right = _mat_sub(_mat_mul(A, series, rank), eye)  # A*C_K - I
-    err_left = _mat_sub(_mat_mul(series, A, rank), eye)  # C_K*A - I
-    expected = _mat_neg(final_power)
+        for s_row, p_row in zip(series, power):
+            for acc, e in zip(s_row, p_row):
+                for w, c in e.items():
+                    t = acc.get(w, 0) + c
+                    if t:
+                        acc[w] = t
+                    else:
+                        del acc[w]
+        series_terms = sum(len(e) for row in series for e in row)
+    final_power = _matmul(power, neg_b)  # (-B)^K
+    err_right = _minus_eye(_matmul(a, series))  # A*C_K - I
+    err_left = _minus_eye(_matmul(series, a))  # C_K*A - I
+    expected = _neg(final_power)
     if err_right != expected or err_left != expected:
         raise AssertionError("telescoping identity failed (ring arithmetic bug)")
-    edeg = _mat_min_degree(err_right, phi)
+    edeg = min((degree(w) for row in err_right for e in row for w in e), default=None)
     if edeg is not None and edeg < order:
         raise AssertionError("error degree below truncation order (grading bug)")
+
+    def public(m: list[list[Terms]]) -> Matrix:
+        return tuple(tuple(_from_kernel(e, rank) for e in row) for row in m)
+
     return GradedCertificate(
         normalized_matrix=A,
         slope=phi,
         truncation_order=order,
-        truncated_inverse=series,
-        error_matrix=err_right,
+        truncated_inverse=public(series),
+        error_matrix=public(err_right),
         error_min_degree=edeg,
-        term_count=_mat_terms(series),
+        term_count=series_terms,
     )
 
 
@@ -326,10 +348,10 @@ def injectivity_certificate(
             f"minimum condition fails (relator {witness.relator}): {witness.reason}"
         )
     std_relators, std_phi, relab = standardize(p.relators, phi, witness)
-    report = verify_fox_lowest_terms(std_relators, std_phi)
     m = len(std_relators)
     n = p.rank
     jac = jacobian(Presentation(n, std_relators))
+    report = verify_fox_lowest_terms(std_relators, std_phi, _jac=jac)
     rows = []
     for i in range(m):
         unit = GroupRingElement.from_word(

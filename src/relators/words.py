@@ -118,6 +118,15 @@ class Word:
         return f"Word({format_word(self)!r}, rank={self.rank})"
 
 
+def _trusted_word(letters: tuple[int, ...], rank: int) -> Word:
+    """A Word from a letter tuple already known to be freely reduced and in
+    range for `rank`; nothing is checked."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
+
+
 class CyclicWord:
     """A cyclically reduced word with a marked basepoint representative.
 
@@ -370,11 +379,17 @@ def enumerate_cyclically_reduced(rank: int, length: int) -> Iterator[CyclicWord]
 def count_cyclically_reduced(rank: int, length: int) -> int:
     """Number of cyclically reduced words of the given length.
 
-    Closed form: the trace of M^l where M is the 2n x 2n non-backtracking
-    adjacency matrix, corrected for length 1.  We just enumerate; callers
-    needing large counts can cache.
+    Closed form (2n-1)^l + (1 if l is odd else 2n-1), the trace of the l-th
+    power of the 2n x 2n non-backtracking letter matrix;
+    `enumerate_cyclically_reduced` is the oracle.
+
+    >>> count_cyclically_reduced(2, 3), count_cyclically_reduced(2, 4)
+    (28, 84)
     """
-    return sum(1 for _ in enumerate_cyclically_reduced(rank, length))
+    if rank < 1 or length < 1:
+        raise ValueError("rank and length must be at least 1")
+    q = 2 * rank - 1
+    return q**length + (1 if length % 2 else q)
 
 
 def sample_reduced(rank: int, length: int, rng: random.Random) -> Word:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from relators.abelian import (
     Slope,
+    _coefficient_range,
     abelianization_matrix,
     count_slope_classes,
     enumerate_kernel_slopes,
@@ -238,3 +241,20 @@ def test_slope_accessors():
     assert not s.is_valid()
     assert Slope((1, -1)).is_valid()
     assert Slope((0, 0)).is_zero()
+
+
+def test_coefficient_range_is_exact_at_large_magnitude():
+    # floats give c <= 3 here: (3*10**17 - 1) / 10**17 rounds to 3.0
+    pv, s, box = 10**17, 1, 3 * 10**17
+    r = _coefficient_range(s, pv, box)
+    assert (r.start, r.stop - 1) == (-3, 2)
+    rng = random.Random(5)
+    for _ in range(500):
+        pv = rng.choice((1, -1)) * rng.randrange(1, 10**rng.randrange(1, 25))
+        s = rng.randrange(-(10**24), 10**24)
+        box = rng.randrange(0, 10**25)
+        ends = sorted((Fraction(-box - s, pv), Fraction(box - s, pv)))
+        r = _coefficient_range(s, pv, box)
+        assert (r.start, r.stop - 1) == (math.ceil(ends[0]), math.floor(ends[1]))
+        for c in (r.start - 1, r.start, r.stop - 1, r.stop):
+            assert (abs(s + c * pv) <= box) == (c in r)

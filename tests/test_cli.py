@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -188,3 +189,52 @@ def test_to_jsonable_basic_shapes():
         "w": "x1 X2",
         "xs": [1, True, None],
     }
+
+
+def test_budget_refusal_exits_2_quickly(capsys):
+    t0 = time.perf_counter()
+    code = main(
+        [
+            "experiment", "--n", "2", "--m", "1", "--lengths", "14",
+            "--predicate", "b1", "--mode", "exhaustive", "--budget", "1000",
+        ]
+    )
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": "ValueError",
+        "message": "exhaustive space 4782972 exceeds budget 1000",
+    }
+
+
+def test_term_cap_exits_3(capsys, tmp_path):
+    f = tmp_path / "rel.txt"
+    f.write_text("x2 x1 X2 X1\n")
+    code = main(["certify", "--phi", "0,-1", "--order", "8", "--term-cap", "5", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "TermLimitExceeded"
+
+
+def test_bad_input_exits_2(capsys, tmp_path):
+    f = tmp_path / "rel.txt"
+    f.write_text("# nothing here\n")
+    assert main(["check-sc", "--lambda", "1/6", str(f)]) == 2
+    f.write_text("x1 X1\n")  # not cyclically reduced
+    assert main(["check-sc", "--lambda", "1/6", str(f)]) == 2
+    assert main(["check-sc", "--lambda", "1/6", str(tmp_path / "missing.txt")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["error"] for line in errors] == [
+        "ValueError",
+        "ValueError",
+        "FileNotFoundError",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--n", "2"])
+    assert exc.value.code == 2

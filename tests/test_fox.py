@@ -170,3 +170,42 @@ def test_derivative_seeded_bulk_identity():
             xj = GroupRingElement.from_word(Word((j,), n))
             total = total + fox_derivative(w, j) * (xj - GroupRingElement.one(n))
         assert total == GroupRingElement.from_word(w) - GroupRingElement.one(n)
+
+
+def concat_reduce_oracle(a, b):
+    """Oracle: concatenate every pair of words, reduce the whole string with
+    `words.reduce`, and collect coefficients."""
+    out = GroupRingElement.zero(RANK)
+    for u, cu in a.terms().items():
+        for v, cv in b.terms().items():
+            w = reduce(u.letters + v.letters, RANK)
+            out = out + GroupRingElement.from_word(w, cu * cv)
+    return out
+
+
+coefficients_st = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+).filter(lambda c: c != 0)
+
+elements_st = st.lists(st.tuples(reduced_words_st, coefficients_st), max_size=6).map(
+    lambda items: GroupRingElement(items, RANK)
+)
+
+
+@given(elements_st, elements_st)
+@settings(max_examples=300)
+def test_ring_multiply_matches_concatenate_then_reduce(a, b):
+    prod = ring_multiply(a, b)
+    assert prod == concat_reduce_oracle(a, b)
+    assert all(type(c) is Fraction for c in prod.terms().values())
+    assert all(c != 0 for c in prod.terms().values())
+
+
+@given(reduced_words_st, reduced_words_st)
+@settings(max_examples=200)
+def test_ring_multiply_cancels_across_the_junction(u, v):
+    # u * u^-1 * v is v however long the cancelling stretch is
+    uu = GroupRingElement.from_word(u)
+    prod = ring_multiply(ring_multiply(uu, uu.inverse_unit()), GroupRingElement.from_word(v))
+    assert prod == GroupRingElement.from_word(v)

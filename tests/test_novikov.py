@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import relators.novikov as novikov
 
 from relators.abelian import Slope, first_betti_number, slope_basis
 from relators.fox import (
@@ -24,6 +28,7 @@ from relators.words import (
     Word,
     parse_cyclic_word,
     parse_word,
+    reduce,
     sample_cyclically_reduced,
 )
 
@@ -217,6 +222,74 @@ def test_neumann_telescoping_recomputed_externally():
             assert cert.error_min_degree >= order
 
 
+def mul_oracle(a, b):
+    """Product by concatenating every pair of words and reducing the whole
+    string with `words.reduce`, apart from `ring_multiply`."""
+    out = GroupRingElement.zero(a.rank)
+    for u, cu in a.terms().items():
+        for v, cv in b.terms().items():
+            w = reduce(u.letters + v.letters, a.rank)
+            out = out + GroupRingElement.from_word(w, cu * cv)
+    return out
+
+
+def test_neumann_with_non_integer_coefficient():
+    phi = Slope((0, -1))
+    A = (
+        (elem("1*[]"), elem("1/2*[X2 x1]")),
+        (elem("-2/3*[X2]"), elem("1*[] + 1*[X2 X2]")),
+    )
+    for order in range(1, 6):
+        cert = truncated_neumann_inverse(A, phi, order)
+        C = cert.truncated_inverse
+        for i in range(2):
+            for j in range(2):
+                prod = sum(
+                    (mul_oracle(A[i][k], C[k][j]) for k in range(2)),
+                    GroupRingElement.zero(2),
+                )
+                if i == j:
+                    prod = prod - GroupRingElement.one(2)
+                assert prod == cert.error_matrix[i][j]
+        assert cert.error_min_degree is None or cert.error_min_degree >= order
+    coeffs = {c for row in cert.truncated_inverse for e in row for c in e.terms().values()}
+    assert any(c.denominator > 1 for c in coeffs)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("X2", "X2 x1", "x1 X2", "X2 X2", "X1 X2 x1")),
+            st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(
+                lambda c: c != 0
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_neumann_1x1_matches_geometric_series(terms, order):
+    # A = 1 + b with deg(b) >= 1 at (0,-1): C_K = sum_k (-b)^k and
+    # A*C_K - 1 = -(-b)^K, recomputed with the oracle product
+    phi = Slope((0, -1))
+    b = sum(
+        (GroupRingElement.from_word(parse_word(w, 2), c) for w, c in terms),
+        GroupRingElement.zero(2),
+    )
+    one = GroupRingElement.one(2)
+    cert = truncated_neumann_inverse(((one + b,),), phi, order)
+    power, series = one, GroupRingElement.zero(2)
+    for _ in range(order):
+        series = series + power
+        power = mul_oracle(power, -b)
+    assert cert.truncated_inverse[0][0] == series
+    assert cert.error_matrix[0][0] == -power
+    assert cert.term_count == series.term_count()
+
+
 def test_neumann_term_cap():
     phi = Slope((1, 1))
     A = ((elem("1*[] + 1*[x1] + 1*[x2]"),),)
@@ -274,3 +347,22 @@ def test_certificate_on_tau_images():
         cert = injectivity_certificate(Presentation(n, out), phi, 4)
         assert cert.error_min_degree is None or cert.error_min_degree >= 4
         done += 1
+
+
+def test_jacobian_built_once_per_certificate(monkeypatch):
+    calls = []
+    real = novikov.jacobian
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(novikov, "jacobian", counting)
+    p = Presentation(
+        3, (parse_cyclic_word("x3 x1 X3 X1", 3), parse_cyclic_word("x3 x2 X3 X2", 3))
+    )
+    for order in (1, 3):
+        calls.clear()
+        cert = injectivity_certificate(p, Slope((0, 0, -1)), order)
+        assert len(calls) == 1
+        assert cert.error_min_degree is None or cert.error_min_degree >= order

@@ -172,3 +172,14 @@ def test_exponent_sum():
     w = parse_word("x1 x2 X1 x2 x1", 2)
     assert w.exponent_sum(1) == 1
     assert w.exponent_sum(2) == 2
+
+
+def test_count_closed_form_at_rank_one_and_four():
+    for rank, lengths in ((1, range(1, 9)), (4, range(1, 5))):
+        for length in lengths:
+            assert count_cyclically_reduced(rank, length) == len(
+                list(enumerate_cyclically_reduced(rank, length))
+            )
+    for bad in ((0, 3), (2, 0)):
+        with pytest.raises(ValueError):
+            count_cyclically_reduced(*bad)
