@@ -30,6 +30,7 @@ from .experiment import (
     ExperimentConfig,
     PredicateSpec,
     parse_config,
+    parse_fraction,
     rows_to_csv,
     run_experiment,
     tau_count,
@@ -119,10 +120,6 @@ def _read_relators(path: str, rank: Optional[int]) -> tuple[CyclicWord, ...]:
 
 def _parse_phi(text: str) -> Slope:
     return Slope(int(x) for x in text.split(","))
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _cmd_sample(args) -> int:
@@ -332,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("check-sc", help="check the C'(lambda) condition")
-    sp.add_argument("--lambda", dest="lam", type=_parse_fraction, required=True)
+    sp.add_argument("--lambda", dest="lam", type=parse_fraction, required=True)
     sp.add_argument("--rank", type=int)
     add_common(sp)
     sp.set_defaults(func=_cmd_check_sc)
@@ -363,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("embed", help="embed into a small-cancellation target")
     sp.add_argument("--phi", required=True)
     sp.add_argument("--guarantee-c16", action="store_true")
-    sp.add_argument("--epsilon", type=_parse_fraction)
+    sp.add_argument("--epsilon", type=parse_fraction)
     sp.add_argument("--max-block-height", type=int, default=64)
     add_common(sp)
     sp.set_defaults(func=_cmd_embed)
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--predicate",
         choices=["c-prime", "b1", "min-condition", "slope-classes", "certificate"],
     )
-    sp.add_argument("--lambda", dest="lam", type=_parse_fraction)
+    sp.add_argument("--lambda", dest="lam", type=parse_fraction)
     sp.add_argument("--k", type=int)
     sp.add_argument("--box", type=int, default=8)
     sp.add_argument("--mode", choices=["monte-carlo", "exhaustive"], default="monte-carlo")

@@ -393,6 +393,23 @@ _CONFIG_KEYS = {
 }
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational such as ``1/6``; a zero denominator is a ValueError
+    like any other malformed number.
+
+    >>> parse_fraction("2/12")
+    Fraction(1, 6)
+    >>> parse_fraction("1/0")
+    Traceback (most recent call last):
+        ...
+    ValueError: zero denominator in '1/0'
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the simple key-value config format, e.g.::
 
@@ -421,7 +438,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config is missing {required!r}")
     spec = PredicateSpec(
         name=values["predicate"],
-        lam=Fraction(values["lambda"]) if "lambda" in values else None,
+        lam=parse_fraction(values["lambda"]) if "lambda" in values else None,
         k=int(values["k"]) if "k" in values else None,
         box=int(values.get("box", 8)),
     )

@@ -12,10 +12,12 @@ The C'(lambda) check demands |w| < lambda * |r| for every piece w and *both*
 relators r carrying the two occurrences; lambda is an exact rational and the
 comparison is done in integers.
 
-The search runs on a suffix array over the doubled oriented relator texts
-(with distinct separators), so relator tuples with hundreds of thousands of
-letters stay tractable; the quadratic window scan it replaces is kept as a
-test oracle.
+The search sorts the cyclic rotations of the oriented relator texts
+themselves (no doubled copies, no separators) by numpy prefix doubling, and
+one vectorized pass over the sorted rotations yields every pair maximum, so
+the verdict and the longest-piece report come from a single scan and relator
+tuples with hundreds of thousands of letters stay tractable; the quadratic
+window scan is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import CyclicWord, Word, letter_order
+from .words import CyclicWord, Word
 
 
 @dataclass(frozen=True)
@@ -53,116 +55,81 @@ class PieceReport:
         return (self.subword, self.location_a, self.location_b)
 
 
-def _suffix_array(codes: list[int]) -> list[int]:
-    """Suffix array by prefix doubling on numpy lexsort; O(n log n)."""
-    n = len(codes)
-    if n == 0:
-        return []
-    arr = np.asarray(codes, dtype=np.int64)
-    rank = np.unique(arr, return_inverse=True)[1].astype(np.int64)
-    sa = np.argsort(rank, kind="stable")
-    if int(rank[sa[-1]]) == n - 1:
-        return sa.tolist()
-    k = 1
-    while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        sa = np.lexsort((key2, rank))
-        pair = np.stack([rank[sa], key2[sa]], axis=1)
-        boundary = np.empty(n, dtype=np.int64)
-        boundary[0] = 0
-        if n > 1:
-            boundary[1:] = (np.diff(pair, axis=0) != 0).any(axis=1)
-        new = np.empty(n, dtype=np.int64)
-        new[sa] = np.cumsum(boundary)
-        rank = new
-        if int(rank[sa[-1]]) == n - 1:
-            return sa.tolist()
-        k *= 2
-
-
-def _lcp_array(codes: list[int], sa: list[int]) -> list[int]:
-    """Kasai: lcp[i] = longest common prefix of suffixes sa[i-1], sa[i]."""
-    n = len(sa)
-    rank = [0] * n
-    for i, p in enumerate(sa):
-        rank[p] = i
-    lcp = [0] * n
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r > 0:
-            j = sa[r - 1]
-            while i + h < n and j + h < n and codes[i + h] == codes[j + h]:
-                h += 1
-            lcp[r] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
-    return lcp
-
-
 def _pair_maxima(relators: Sequence[CyclicWord]):
     """For each unordered pair of oriented texts (2 per relator), the longest
     common cyclic subword length after the full-length collapsing rule, plus
     a witness offset pair.  Returns (lengths_per_text, best, witness_offsets)
-    with dict keys (text_a, text_b), text = 2*relator + (1 if inverted)."""
-    texts: list[tuple[int, ...]] = []
+    with dict keys (text_a, text_b), text = 2*relator + (1 if inverted).
+
+    Every rotation of every text is sorted by prefix doubling on cyclic
+    shifts (rank level j orders the first 2^j letters), stopping once the
+    ranks are distinct or the sorted prefix covers the longest text, which
+    bounds every piece.  The LCP of sorted neighbours comes from stepping
+    down the kept levels; a pair of texts shares a piece of length k exactly
+    when some occurrence of one follows an occurrence of the other with no
+    neighbour LCP below k in between, so one running minimum per text that
+    restarts at each of its occurrences finds every pair maximum."""
+    parts = []
     for r in relators:
-        texts.append(r.letters)
-        texts.append(r.inverse().letters)
-    tcount = len(texts)
-    lengths = [len(t) for t in texts]
+        fwd = np.asarray(r.letters, dtype=np.int64)
+        parts += (fwd, -fwd[::-1])
+    lengths = [len(p) for p in parts]
+    size = np.asarray(lengths, dtype=np.int64)
+    first = np.cumsum(size) - size
+    n = int(size.sum())
+    text = np.repeat(np.arange(len(parts)), size)
+    top = max(lengths)
 
-    codes: list[int] = []
-    text_id: list[int] = []
-    offsets: list[int] = []
-    sep = -1
-    for tid, t in enumerate(texts):
-        doubled = t + t[: len(t) - 1]
-        for off, a in enumerate(doubled):
-            codes.append(letter_order(a) + 1)
-            text_id.append(tid)
-            offsets.append(off)
-        codes.append(sep)  # distinct separators: no match spans two texts
-        text_id.append(-1)
-        offsets.append(-1)
-        sep -= 1
+    codes = np.concatenate(parts)
+    codes += int(np.abs(codes).max())
+    rank = (np.cumsum(np.bincount(codes) > 0) - 1)[codes]  # dense letter ranks
+    step = np.arange(1, n + 1)
+    step[first + size - 1] = first  # the next letter, cyclically
+    levels, jumps = [rank], [step]  # level j: rank of 2^j letters, jump 2^j letters
+    order = np.argsort(rank)
+    while 1 << (len(levels) - 1) < top and rank[order[-1]] < n - 1:
+        key = rank * n + rank[jumps[-1]]
+        order = np.argsort(key)
+        sorted_key = key[order]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum(sorted_key[1:] != sorted_key[:-1])
+        levels.append(rank)
+        jumps.append(jumps[-1][jumps[-1]])
 
-    sa = _suffix_array(codes)
-    lcp = _lcp_array(codes, sa)
+    pa, pb = order[:-1].copy(), order[1:].copy()
+    lcp = np.zeros(n - 1, dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        same = np.flatnonzero(levels[j][pa] == levels[j][pb])
+        lcp[same] += 1 << j
+        pa[same] = jumps[j][pa[same]]
+        pb[same] = jumps[j][pb[same]]
+    gap = np.minimum(np.concatenate(([0], lcp)), top)  # gap[s]: LCP of sorted s-1, s
 
-    inf = 1 << 60
-    best: dict[tuple[int, int], int] = {}
-    wit: dict[tuple[int, int], tuple[int, int]] = {}
-    cur = [-1] * tcount  # running min LCP since each text's last occurrence
-    last_off = [-1] * tcount
-    gap_min = inf
-    for idx, p in enumerate(sa):
-        gap_min = min(gap_min, lcp[idx])
-        tid = text_id[p]
-        if tid < 0 or offsets[p] >= lengths[tid]:
-            continue  # separator, or a start inside the doubled tail
-        off = offsets[p]
-        for t in range(tcount):
-            if cur[t] >= 0 and gap_min < cur[t]:
-                cur[t] = gap_min
-        for t in range(tcount):
-            c = cur[t]
-            if c <= 0:
-                continue
-            if t == tid:
-                c = min(c, lengths[tid] - 1)
-            else:
-                c = min(c, lengths[t], lengths[tid])
-            key = (t, tid) if t <= tid else (tid, t)
-            if c > best.get(key, 0):
-                best[key] = c
-                wit[key] = (last_off[t], off) if t <= tid else (off, last_off[t])
-        cur[tid] = inf
-        last_off[tid] = off
-        gap_min = inf
+    owner = text[order]
+    offs = order - first[owner]
+    at = np.empty(n, dtype=np.int64)
+    at[order] = np.arange(n)  # sorted index of each rotation, text by text
+    big = top + 1
+    found: dict[tuple[int, int], tuple[int, int, tuple[int, int]]] = {}
+    for t, lt in enumerate(lengths):
+        hit = owner == t
+        seg = np.cumsum(np.concatenate(([False], hit[:-1])))  # restarts after each t
+        run = np.minimum.accumulate(gap - seg * big) + seg * big
+        cap = np.where(hit, lt - 1, np.minimum(size[owner], lt))
+        val = np.where(seg > 0, np.minimum(run, cap), 0)[at]
+        peak = np.maximum.reduceat(val, first)
+        where = np.minimum.reduceat(np.where(val == np.repeat(peak, size), at, n), first)
+        occ = np.flatnonzero(hit)
+        for u in np.flatnonzero(peak > 0).tolist():
+            s = int(where[u])
+            prev, cur = int(offs[occ[seg[s] - 1]]), int(offs[s])
+            key, pair = ((t, u), (prev, cur)) if t <= u else ((u, t), (cur, prev))
+            cand = (-int(peak[u]), s, pair)
+            if key not in found or cand < found[key]:
+                found[key] = cand
+    best = {k: -c[0] for k, c in found.items()}
+    wit = {k: c[2] for k, c in found.items()}
     return lengths, best, wit
 
 
@@ -178,6 +145,14 @@ def _report_for(
     oriented = ra if a % 2 == 0 else ra.inverse()
     sub = oriented.cyclic_subword(offs[0], length)
     return PieceReport(length, sub, _location(a, offs[0]), _location(b, offs[1]))
+
+
+def _longest_report(relators: Sequence[CyclicWord], best, wit) -> PieceReport:
+    """The longest piece in a `_pair_maxima` table, first key on ties."""
+    if not best:
+        return PieceReport(0, None, None, None)
+    key = max(sorted(best), key=best.__getitem__)
+    return _report_for(relators, key, wit[key], best[key])
 
 
 def _validate(relators: Sequence[CyclicWord]) -> None:
@@ -199,15 +174,7 @@ def longest_piece(relators: Sequence[CyclicWord]) -> PieceReport:
     """
     _validate(relators)
     _, best, wit = _pair_maxima(relators)
-    top = 0
-    top_key = None
-    for key in sorted(best):
-        if best[key] > top:
-            top = best[key]
-            top_key = key
-    if top_key is None:
-        return PieceReport(0, None, None, None)
-    return _report_for(relators, top_key, wit[top_key], top)
+    return _longest_report(relators, best, wit)
 
 
 def check_small_cancellation(
@@ -228,15 +195,13 @@ def check_small_cancellation(
         raise ValueError("lambda must satisfy 0 < lambda <= 1")
     _validate(relators)
     lengths, best, wit = _pair_maxima(relators)
-    worst_key = None
-    worst_len = -1
-    for key in sorted(best):
-        pair_min = min(lengths[key[0]], lengths[key[1]])
-        # violation: piece length * den >= num * relator length, exactly
-        if best[key] * lam.denominator >= lam.numerator * pair_min:
-            if best[key] > worst_len:
-                worst_len = best[key]
-                worst_key = key
-    if worst_key is not None:
-        return False, _report_for(relators, worst_key, wit[worst_key], worst_len)
-    return True, longest_piece(relators)
+    # violation: piece length * den >= num * relator length, exactly
+    violating = [
+        key
+        for key in sorted(best)
+        if best[key] * lam.denominator >= lam.numerator * min(lengths[key[0]], lengths[key[1]])
+    ]
+    if violating:
+        key = max(violating, key=best.__getitem__)
+        return False, _report_for(relators, key, wit[key], best[key])
+    return True, _longest_report(relators, best, wit)

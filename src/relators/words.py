@@ -287,15 +287,9 @@ def reduce(letters: Iterable[int], rank: int) -> Word:
     >>> reduce([1, -2, 2, -1, 2], 2).letters
     (2,)
     """
-    stack: list[int] = []
-    for a in letters:
-        if a == 0 or abs(a) > rank:
-            raise ValueError(f"letter {a} out of range for rank {rank}")
-        if stack and stack[-1] == -a:
-            stack.pop()
-        else:
-            stack.append(a)
-    return Word(stack, rank)
+    letters = tuple(letters)
+    _check_letters(letters, rank)
+    return _trusted_word(reduce_letters(letters), rank)
 
 
 def reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:

@@ -238,3 +238,27 @@ def test_bad_input_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--n", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-sc", "--lambda", "1/0"],
+        ["embed", "--phi", "0,-1", "--guarantee-c16", "--epsilon", "1/0"],
+        ["experiment", "--n", "2", "--m", "1", "--lengths", "8", "--predicate", "c-prime", "--lambda", "1/0"],
+    ],
+    ids=["check-sc", "embed", "experiment"],
+)
+def test_zero_denominator_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "'1/0'" in capsys.readouterr().err
+
+
+def test_zero_denominator_in_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("predicate = c-prime\nlambda = 1/0\nn = 2\nm = 1\nlengths = 12\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": "zero denominator in '1/0'"}

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from relators import smallcanc
 from relators.smallcanc import (
     PieceReport,
     _pair_maxima,
@@ -172,3 +174,92 @@ def test_single_letter_relator():
     assert rep.longest_piece_length == 0
     ok, _ = check_small_cancellation((r,), Fraction(1, 6))
     assert ok
+
+
+@st.composite
+def cyclic_words(draw, rank, max_length=14):
+    """A cyclically reduced word of 1..max_length letters over `rank`."""
+    alphabet = [a for a in range(-rank, rank + 1) if a]
+    length = draw(st.integers(1, max_length))
+    letters = [draw(st.sampled_from(alphabet))]
+    while len(letters) < length:
+        last = len(letters) == length - 1
+        options = [a for a in alphabet if a != -letters[-1] and not (last and a == -letters[0])]
+        letters.append(draw(st.sampled_from(options)))
+    return CyclicWord(letters, rank)
+
+
+@st.composite
+def relator_tuples(draw):
+    """Tuples of 1-3 relators: fresh words, proper powers, duplicated
+    relators and rotated copies."""
+    rank = draw(st.integers(2, 3))
+    relators = [draw(cyclic_words(rank))]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["fresh", "power", "duplicate", "rotation"]))
+        base = draw(st.sampled_from(relators))
+        if kind == "fresh":
+            relators.append(draw(cyclic_words(rank)))
+        elif kind == "power":
+            root = draw(cyclic_words(rank, max_length=7))
+            relators.append(CyclicWord(root.letters * draw(st.integers(2, 14 // len(root))), rank))
+        elif kind == "duplicate":
+            relators.append(base)
+        else:
+            relators.append(base.rotation(draw(st.integers(0, len(base) - 1))))
+    return tuple(draw(st.permutations(relators)))
+
+
+def assert_witnesses_valid(relators, best, wit):
+    assert set(wit) == set(best)
+    texts = oriented_texts(relators)
+    for (a, b), (oa, ob) in wit.items():
+        assert 0 <= oa < len(texts[a]) and 0 <= ob < len(texts[b])
+        assert (a, oa) != (b, ob)
+        k = best[(a, b)]
+        assert texts[a].cyclic_subword(oa, k) == texts[b].cyclic_subword(ob, k)
+
+
+@given(relator_tuples())
+@settings(max_examples=300, deadline=None)
+def test_pair_maxima_tables_and_every_witness(relators):
+    _, best, wit = _pair_maxima(relators)
+    assert best == brute_pair_maxima(relators)
+    assert_witnesses_valid(relators, best, wit)
+
+
+def test_success_report_comes_from_the_one_scan(monkeypatch):
+    calls = []
+    scan = smallcanc._pair_maxima
+    monkeypatch.setattr(smallcanc, "_pair_maxima", lambda rels: calls.append(rels) or scan(rels))
+    rng = random.Random(31)
+    passed = 0
+    for _ in range(20):
+        t = (sample_cyclically_reduced(2, 60, rng), sample_cyclically_reduced(2, 40, rng))
+        calls.clear()
+        ok, rep = check_small_cancellation(t, Fraction(1, 2))
+        assert len(calls) == 1
+        if ok:
+            passed += 1
+            assert rep == longest_piece(t)
+    assert passed
+
+
+@pytest.mark.parametrize("root_length, power", [(2, 3000), (7, 800)])
+def test_long_proper_power_next_to_random_word(root_length, power):
+    """Ranks of the rotations of a proper power never become distinct, so the
+    sort stops once it covers the longest text; the longest piece of a
+    proper power u^k is |u^k| - 1 (its rotation by |u| is itself)."""
+    rng = random.Random(3000 + root_length)
+    root = (1, 2) if root_length == 2 else sample_cyclically_reduced(2, root_length, rng).letters
+    periodic = CyclicWord(root * power, 2)
+    other = sample_cyclically_reduced(2, 2000, rng)
+    relators = (periodic, other)
+    _, best, wit = _pair_maxima(relators)
+    assert best[(0, 0)] == best[(1, 1)] == len(periodic) - 1
+    assert max(best.values()) == len(periodic) - 1
+    assert max(v for (a, b), v in best.items() if b >= 2) < 40  # random: O(log) pieces
+    assert_witnesses_valid(relators, best, wit)
+    assert longest_piece(relators).longest_piece_length == len(periodic) - 1
+    ok, rep = check_small_cancellation(relators, Fraction(1, 6))
+    assert not ok and rep.longest_piece_length == len(periodic) - 1
