@@ -81,8 +81,10 @@ def abelianization_matrix(p: Presentation) -> AbelMatrix:
     >>> abelianization_matrix(Presentation(2, [r])).rows
     ((2, 0),)
     """
+    gens = range(1, p.rank + 1)
     rows = tuple(
-        tuple(r.exponent_sum(g) for g in range(1, p.rank + 1)) for r in p.relators
+        tuple([r.letters.count(g) - r.letters.count(-g) for g in gens])
+        for r in p.relators
     )
     return AbelMatrix(rows, p.rank)
 
@@ -218,8 +220,11 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def matrix_rank(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
-    D, _, _ = smith_normal_form(rows, ncols)
-    return sum(1 for k in range(min(len(D), len(D[0]) if D else 0)) if D[k][k] != 0)
+    """Rank of an integer matrix: the size of its Hermite row basis."""
+    n = ncols if ncols is not None else (len(rows[0]) if rows else 0)
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    return len(hermite_row_basis(rows))
 
 
 def first_betti_number(p: Presentation) -> int:
@@ -230,8 +235,7 @@ def first_betti_number(p: Presentation) -> int:
     >>> first_betti_number(Presentation(2, [r]))
     2
     """
-    A = abelianization_matrix(p)
-    return p.rank - matrix_rank(A.rows, p.rank)
+    return p.rank - matrix_rank(abelianization_matrix(p).rows, p.rank)
 
 
 def slope_basis(p: Presentation) -> list[Slope]:
@@ -251,15 +255,10 @@ def slope_basis(p: Presentation) -> list[Slope]:
     D, _, V = smith_normal_form(A.rows, n)
     r = sum(1 for k in range(min(len(D), n)) if D[k][k] != 0)
     kernel_cols = [[V[i][j] for i in range(n)] for j in range(r, n)]
-    if not kernel_cols:
-        return []
-    basis = hermite_row_basis(kernel_cols)
     out = []
-    for row in basis:
-        lead = next(v for v in row if v)
-        if lead > 0:
-            row = [-a for a in row]
-        out.append(Slope(row))
+    for row in hermite_row_basis(kernel_cols):
+        sign = -1 if next(v for v in row if v) > 0 else 1
+        out.append(Slope(sign * a for a in row))
     return out
 
 
@@ -276,34 +275,45 @@ def _coefficient_range(s: int, pv: int, box: int) -> range:
     return range(-(-lo // pv), hi // pv + 1)
 
 
-def _coefficient_box_points(basis: list[Slope], box: int) -> Iterable[tuple[int, ...]]:
-    """All lattice points of the span with max-norm <= box, via the staircase
-    structure of the Hermite basis (pivot coordinates bound the coefficients)."""
+def _coefficient_box_points(basis: list[Slope], box: int) -> list[tuple[int, ...]]:
+    """All lattice points of the span with max-norm <= box, in the
+    lexicographic order of their coefficient vectors.
+
+    Walks the Hermite staircase row by row.  Row a fixes the coordinates
+    from its pivot up to the next pivot (later rows are zero there), so its
+    coefficients are limited to the exact ranges those coordinates allow
+    and no point outside the box is ever built."""
     if not basis:
-        return
-    n = len(basis[0])
+        return []
     rows = [b.values for b in basis]
-    pivots = [next(j for j, v in enumerate(row) if v) for row in rows]
-    partial = [0] * n
-    k = len(rows)
+    n = len(rows[0])
+    pivots = [next(j for j, v in enumerate(row) if v) for row in rows] + [n]
+    points = [(0,) * n]
+    for a, row in enumerate(rows):
+        fixed = range(pivots[a], pivots[a + 1])
+        grown = []
+        for p in points:
+            if any(not row[i] and abs(p[i]) > box for i in fixed):
+                continue
+            rs = [_coefficient_range(p[i], row[i], box) for i in fixed if row[i]]
+            for c in range(max(r.start for r in rs), min(r.stop for r in rs)):
+                grown.append(tuple([x + c * y for x, y in zip(p, row)]) if c else p)
+        points = grown
+    return points
 
-    def rec(a: int):
-        if a == k:
-            if any(abs(v) > box for v in partial):
-                return
-            yield tuple(partial)
-            return
-        j = pivots[a]
-        for c in _coefficient_range(partial[j], rows[a][j], box):
-            if c:
-                for i in range(n):
-                    partial[i] += c * rows[a][i]
-            yield from rec(a + 1)
-            if c:
-                for i in range(n):
-                    partial[i] -= c * rows[a][i]
 
-    yield from rec(0)
+def _trusted_slope(values: tuple[int, ...]) -> Slope:
+    """A Slope from a tuple of plain ints; nothing is converted."""
+    s = object.__new__(Slope)
+    object.__setattr__(s, "values", values)
+    return s
+
+
+def _box_slopes(p: Presentation, box: int, keep) -> list[Slope]:
+    if box < 1:
+        raise ValueError("box bound must be >= 1")
+    points = [v for v in _coefficient_box_points(slope_basis(p), box) if keep(v)]
+    return [_trusted_slope(v) for v in sorted(points)]
 
 
 def enumerate_kernel_slopes(
@@ -313,18 +323,7 @@ def enumerate_kernel_slopes(
     order.  With primitive_only, keep one representative per positive ray
     (gcd of the entries equal to 1); the sign still distinguishes phi
     from -phi, which induce different lower sections."""
-    if box < 1:
-        raise ValueError("box bound must be >= 1")
-    basis = slope_basis(p)
-    out = []
-    for v in _coefficient_box_points(basis, box):
-        if all(x == 0 for x in v):
-            continue
-        if primitive_only and math.gcd(*v) != 1:
-            continue
-        out.append(v)
-    out.sort()
-    return [Slope(v) for v in out]
+    return _box_slopes(p, box, (lambda v: math.gcd(*v) == 1) if primitive_only else any)
 
 
 def enumerate_valid_slopes(p: Presentation, box: int) -> list[Slope]:
@@ -336,14 +335,7 @@ def enumerate_valid_slopes(p: Presentation, box: int) -> list[Slope]:
     >>> [s.values for s in sl]
     [(-2, 2), (-1, 1), (1, -1), (2, -2)]
     """
-    if box < 1:
-        raise ValueError("box bound must be >= 1")
-    basis = slope_basis(p)
-    seen = set()
-    for v in _coefficient_box_points(basis, box):
-        if all(x != 0 for x in v):
-            seen.add(v)
-    return [Slope(v) for v in sorted(seen)]
+    return _box_slopes(p, box, all)
 
 
 def count_slope_classes(

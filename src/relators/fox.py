@@ -334,7 +334,10 @@ def parse_ring_element(text: str, rank: int) -> GroupRingElement:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"bad group-ring term: {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {chunk.strip()!r}") from None
         body = m.group("word").strip()
         letters = parse_letters(body) if body else ()
         items.append((Word(letters, rank), coeff))

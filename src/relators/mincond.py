@@ -24,9 +24,10 @@ not-in-image detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .abelian import Slope, first_betti_number, slope_basis
+from .abelian import Slope, slope_basis
 from .words import CyclicWord, Presentation, Word
 
 
@@ -72,12 +73,11 @@ def height_profile(r: CyclicWord, phi: Slope) -> HeightProfile:
     >>> height_profile(pc("x2 x1 X2 X1"), Slope((0, -1))).vertex_heights
     (0, -1, -1, 0)
     """
-    if phi.of_word(r) != 0:
+    step = {s * g: s * v for g, v in enumerate(phi.values, 1) for s in (1, -1)}
+    heights = tuple(accumulate(map(step.__getitem__, r.letters), initial=0))
+    if heights[-1] != 0:
         raise ValueError("slope does not annihilate the relator")
-    heights = [0]
-    for a in r.letters[:-1]:
-        heights.append(heights[-1] + phi.of_letter(a))
-    return HeightProfile(r, phi, tuple(heights))
+    return HeightProfile(r, phi, heights[:-1])
 
 
 def lower_section(r: CyclicWord, phi: Slope) -> LowerSection:
@@ -88,16 +88,12 @@ def lower_section(r: CyclicWord, phi: Slope) -> LowerSection:
     >>> sorted(ls.min_vertices), sorted(ls.flat_min_edges)
     ([1, 2], [1])
     """
-    prof = height_profile(r, phi)
-    h = prof.vertex_heights
+    h = height_profile(r, phi).vertex_heights
     m = min(h)
     l = len(h)
     verts = frozenset(v for v in range(l) if h[v] == m)
-    edges = frozenset(
-        k
-        for k in range(l)
-        if h[k] == m and h[(k + 1) % l] == m and phi.of_letter(r.letters[k]) == 0
-    )
+    # phi of edge k is h[k+1] - h[k], so an edge between minimal vertices is flat
+    edges = frozenset(k for k in verts if (k + 1) % l in verts)
     return LowerSection(verts, edges)
 
 
@@ -353,10 +349,6 @@ def standardize(
     return new_relators, new_phi, relab
 
 
-def _first_min_vertex(r: CyclicWord, phi: Slope) -> int:
-    return height_profile(r, phi).first_min_vertex
-
-
 def _insert(r: CyclicWord, v: int, quad: tuple[int, int, int, int]) -> CyclicWord:
     letters = r.letters[:v] + quad + r.letters[v:]
     return CyclicWord(letters, r.rank)
@@ -381,17 +373,17 @@ def tau_deficiency_one(
         raise ValueError("expected exactly rank-1 relators")
     if any(r.rank != n for r in relators):
         raise ValueError("relator rank mismatch")
-    p = Presentation(n, relators)
-    if first_betti_number(p) != 1:
+    basis = slope_basis(Presentation(n, relators))
+    if len(basis) != 1:
         raise ValueError("first Betti number must be 1")
-    phi = slope_basis(p)[0]
+    phi = basis[0]
     j = next(g for g in range(1, n + 1) if phi.of_generator(g) != 0)
 
     out = []
     for i0, r in enumerate(relators):
         i = i0 + 1
         ip = i if i < j else i + 1
-        v = _first_min_vertex(r, phi)
+        v = height_profile(r, phi).first_min_vertex
         val = phi.of_generator(ip)
         if val > 0:
             eps = -1
@@ -421,10 +413,10 @@ def tau_inverse(
         return None
     if any(len(r) < 5 for r in relators):
         return None
-    p = Presentation(n, relators)
-    if first_betti_number(p) != 1:
+    basis = slope_basis(Presentation(n, relators))
+    if len(basis) != 1:
         return None
-    phi = slope_basis(p)[0]
+    phi = basis[0]
     j = next(g for g in range(1, n + 1) if phi.of_generator(g) != 0)
 
     recovered = []
@@ -484,6 +476,6 @@ def tau_slope(relators: Sequence[CyclicWord], phi: Slope) -> tuple[CyclicWord, .
         i = i0 + 1
         si = 1 if phi.of_generator(i) > 0 else -1
         quad = (-sn * n, -si * i, sn * n, si * i)
-        v = _first_min_vertex(r, phi)
+        v = height_profile(r, phi).first_min_vertex
         out.append(_insert(r, v, quad))
     return tuple(out)

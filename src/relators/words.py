@@ -112,7 +112,7 @@ class Word:
 
     def exponent_sum(self, g: int) -> int:
         """Signed count of x_g letters."""
-        return sum(1 if a == g else -1 if a == -g else 0 for a in self.letters)
+        return self.letters.count(g) - self.letters.count(-g)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, rank={self.rank})"
@@ -202,10 +202,19 @@ class CyclicWord:
         return CyclicWord(tuple(-a for a in reversed(self.letters)), self.rank)
 
     def exponent_sum(self, g: int) -> int:
-        return self.base.exponent_sum(g)
+        return self.letters.count(g) - self.letters.count(-g)
 
     def __repr__(self) -> str:
         return f"CyclicWord({format_word(self)!r}, rank={self.rank})"
+
+
+def _trusted_cyclic_word(letters: tuple[int, ...], rank: int) -> CyclicWord:
+    """A CyclicWord from a nonempty letter tuple already known to be
+    cyclically reduced and in range for `rank`; nothing is checked."""
+    w = object.__new__(CyclicWord)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
 
 
 class Substitution:
@@ -353,21 +362,19 @@ def enumerate_cyclically_reduced(rank: int, length: int) -> Iterator[CyclicWord]
     if rank < 1 or length < 1:
         raise ValueError("rank and length must be at least 1")
     alphabet = _letters_in_order(rank)
-    prefix: list[int] = []
+    # depth-first over reduced prefixes; children are pushed in reverse
+    follow = {a: [b for b in reversed(alphabet) if b != -a] for a in alphabet}
 
-    def rec() -> Iterator[CyclicWord]:
-        if len(prefix) == length:
-            if prefix[0] != -prefix[-1] or length == 1:
-                yield CyclicWord(tuple(prefix), rank)
-            return
-        for a in alphabet:
-            if prefix and prefix[-1] == -a:
-                continue
-            prefix.append(a)
-            yield from rec()
-            prefix.pop()
+    def words() -> Iterator[CyclicWord]:
+        stack = [(a,) for a in reversed(alphabet)]
+        while stack:
+            w = stack.pop()
+            if len(w) < length:
+                stack += [w + (b,) for b in follow[w[-1]]]
+            elif length == 1 or w[-1] != -w[0]:
+                yield _trusted_cyclic_word(w, rank)
 
-    return rec()
+    return words()
 
 
 def count_cyclically_reduced(rank: int, length: int) -> int:
@@ -387,18 +394,24 @@ def count_cyclically_reduced(rank: int, length: int) -> int:
 
 
 def sample_reduced(rank: int, length: int, rng: random.Random) -> Word:
-    """Uniform freely reduced word: non-backtracking letter walk."""
+    """Uniform freely reduced word: non-backtracking letter walk.
+
+    ``rng.randrange(2n)`` picks the first letter, each ``rng.randrange(2n-1)``
+    one of the alphabet minus the previous letter alphabet[i]'s inverse,
+    alphabet[i ^ 1]: choice k is alphabet[k + (k >= i ^ 1)]."""
     if rank < 1 or length < 0:
         raise ValueError("need rank >= 1 and length >= 0")
     letters: list[int] = []
     alphabet = _letters_in_order(rank)
+    q = 2 * rank - 1
     for _ in range(length):
         if letters:
-            choices = [a for a in alphabet if a != -letters[-1]]
+            k = rng.randrange(q)
+            i = k + (k >= i ^ 1)
         else:
-            choices = alphabet
-        letters.append(choices[rng.randrange(len(choices))])
-    return Word(letters, rank)
+            i = rng.randrange(q + 1)
+        letters.append(alphabet[i])
+    return _trusted_word(tuple(letters), rank)
 
 
 def sample_cyclically_reduced(rank: int, length: int, rng) -> CyclicWord:
@@ -421,7 +434,7 @@ def sample_cyclically_reduced(rank: int, length: int, rng) -> CyclicWord:
     while True:
         w = sample_reduced(rank, length, rng)
         if w.is_cyclically_reduced():
-            return CyclicWord(w.letters, rank)
+            return _trusted_cyclic_word(w.letters, rank)
 
 
 _LETTER_RE = re.compile(r"[xX][1-9][0-9]*")

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from relators.abelian import (
     Slope,
+    _coefficient_box_points,
     _coefficient_range,
     abelianization_matrix,
     count_slope_classes,
@@ -19,7 +20,13 @@ from relators.abelian import (
     slope_basis,
     smith_normal_form,
 )
-from relators.words import Presentation, parse_cyclic_word
+from relators.words import (
+    CyclicWord,
+    Presentation,
+    parse_cyclic_word,
+    reduce,
+    sample_cyclically_reduced,
+)
 
 
 def det(mat):
@@ -51,6 +58,40 @@ def rank_over_q(rows, ncols):
                 work[i] = [a - c * b for a, b in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+def snf_rank(rows, ncols=None):
+    """Oracle: nonzero diagonal entries of the Smith normal form."""
+    D, _, _ = smith_normal_form(rows, ncols)
+    return sum(1 for k in range(min(len(D), len(D[0]) if D else 0)) if D[k][k] != 0)
+
+
+def recursive_box_points(basis, box):
+    """Oracle: depth-first walk of the coefficient staircase, one recursive
+    generator per level, checking the max-norm only at the leaves."""
+    if not basis:
+        return
+    n = len(basis[0])
+    rows = [b.values for b in basis]
+    pivots = [next(j for j, v in enumerate(row) if v) for row in rows]
+    partial = [0] * n
+    k = len(rows)
+
+    def rec(a):
+        if a == k:
+            if any(abs(v) > box for v in partial):
+                return
+            yield tuple(partial)
+            return
+        j = pivots[a]
+        for c in _coefficient_range(partial[j], rows[a][j], box):
+            for i in range(n):
+                partial[i] += c * rows[a][i]
+            yield from rec(a + 1)
+            for i in range(n):
+                partial[i] -= c * rows[a][i]
+
+    yield from rec(0)
 
 
 def matmul(a, b):
@@ -91,6 +132,124 @@ def test_smith_normal_form_properties(rows):
 @settings(max_examples=150)
 def test_rank_matches_rational_elimination(rows):
     assert matrix_rank(rows) == rank_over_q(rows, len(rows[0]))
+
+
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
+            max_size=5,
+        ).map(lambda rows: (rows, n))
+    )
+)
+@settings(max_examples=200)
+def test_rank_matches_smith_and_rational_oracles(case):
+    rows, n = case
+    assert matrix_rank(rows, n) == snf_rank(rows, n) == rank_over_q(rows, n)
+
+
+def test_rank_rejects_ragged_matrices():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        matrix_rank([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        matrix_rank([[1, 2]], 3)
+    assert matrix_rank([]) == 0
+
+
+@st.composite
+def staircase_bases(draw):
+    """Hermite bases of kernel rank 1-3 in up to 5 coordinates, each row
+    given either sign, so negative pivots (the slope_basis normalization)
+    and positive ones both occur."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=k, max_value=5))
+    vecs = draw(
+        st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    basis = hermite_row_basis(vecs)
+    assume(len(basis) == k)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    return [Slope([s * x for x in row]) for s, row in zip(signs, basis)]
+
+
+@given(staircase_bases(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=300)
+def test_box_walk_matches_recursive_oracle(basis, box):
+    got = _coefficient_box_points(basis, box)
+    want = list(recursive_box_points(basis, box))
+    assert got == want  # same points in the same (coefficient) order
+    assert set(got) == set(want) and sorted(got) == sorted(want)
+    assert all(max(map(abs, v)) <= box for v in got)
+
+
+def test_box_walk_example_with_negative_pivots():
+    basis = [Slope((-2, 1, 3)), Slope((0, -1, 2))]
+    got = _coefficient_box_points(basis, 3)
+    assert got == list(recursive_box_points(basis, 3))
+    assert (0, 0, 0) in got and (-2, 0, 5) not in got
+    assert _coefficient_box_points([], 3) == []
+
+
+def _random_presentations(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((2, 3, 4))
+        m = rng.randrange(1, n)
+        length = rng.randrange(1, 13)
+        yield Presentation(
+            n, tuple(sample_cyclically_reduced(n, length, rng) for _ in range(m))
+        )
+
+
+def test_enumerated_slopes_equal_validated_ones():
+    for p in _random_presentations(17, 60):
+        for slopes in (
+            enumerate_kernel_slopes(p, 3),
+            enumerate_kernel_slopes(p, 3, primitive_only=True),
+            enumerate_valid_slopes(p, 3),
+        ):
+            for phi in slopes:
+                again = Slope(phi.values)
+                assert phi == again and hash(phi) == hash(again)
+                assert type(phi.values) is tuple
+                assert all(type(v) is int for v in phi.values)
+
+
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.integers(min_value=-n, max_value=n).filter(bool),
+                    min_size=1,
+                    max_size=16,
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_abelianization_matches_signed_letter_sums(case):
+    n, raw = case
+    rels = []
+    for letters in raw:
+        lts = list(reduce(letters, n).letters)
+        while len(lts) >= 2 and lts[0] == -lts[-1]:
+            lts = lts[1:-1]
+        if lts:
+            rels.append(CyclicWord(lts, n))
+    assume(rels)
+    rows = abelianization_matrix(Presentation(n, rels)).rows
+    assert rows == tuple(
+        tuple(sum(1 if a == g else -1 if a == -g else 0 for a in r) for g in range(1, n + 1))
+        for r in rels
+    )
 
 
 @given(matrices_st)

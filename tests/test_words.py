@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -146,7 +147,54 @@ def test_sample_reduced_is_reduced_and_seeded():
     for w in words:
         assert len(w.letters) == 20
         assert all(w.letters[k] != -w.letters[k - 1] for k in range(1, 20))
-    assert words == [sample_reduced(3, 20, random.Random(11)) for _ in range(50)][:1] + words[1:]
+    # replaying one seeded stream gives every word again, in order
+    replay = random.Random(11)
+    assert words == [sample_reduced(3, 20, replay) for _ in range(50)]
+    assert len(set(words)) == 50
+
+
+def _stream_digest(sampler, rank, draws=200):
+    """SHA-256 over repr(letters) of `draws` words drawn from one
+    random.Random(11) stream, the k-th of length 1 + k % 24 (cyclic) or
+    k % 24 (plain)."""
+    rng = random.Random(11)
+    h = hashlib.sha256()
+    for k in range(draws):
+        length = 1 + k % 24 if sampler is sample_cyclically_reduced else k % 24
+        h.update(repr(sampler(rank, length, rng).letters).encode())
+    return h.hexdigest()
+
+
+def test_sampler_streams_match_frozen_digests():
+    # frozen from the list-rebuilding sampler: every draw, and so every
+    # seeded experiment CSV, depends on this exact use of the stream
+    assert {r: _stream_digest(sample_cyclically_reduced, r) for r in (2, 3, 4)} == {
+        2: "47a15ebd903e17250a07b3a9eb75a3bdb182b878f8013b67adc54c21e144a675",
+        3: "f996ae0490cf7fa280cee85e134c6be129759bfdd12bcf9b52f825d47683fe8f",
+        4: "c79ca8c55bf74e4517e6e706fbbe60b8ec6d41184fbe6861b6cf3d50b3e4d665",
+    }
+    assert {r: _stream_digest(sample_reduced, r) for r in (1, 2, 3)} == {
+        1: "6d964f71ba8010e38ef50b786952c03a2402319f4fc4ea192aaac935f050b7de",
+        2: "91cd32f7de453cd922e2a498a9419df026f0889482896883022e738641ff3bca",
+        3: "58fc8be337a90948229aa96f030efb34366aa7d4e62d497c007a6a6c0ed59d8f",
+    }
+
+
+def test_trusted_words_equal_validated_ones():
+    for length in range(1, 7):
+        for w in enumerate_cyclically_reduced(2, length):
+            v = CyclicWord(w.letters, 2)
+            assert type(w) is CyclicWord and type(w.letters) is tuple
+            assert w == v and hash(w) == hash(v)
+    rng = random.Random(4)
+    for rank in (2, 3, 4):
+        for length in (1, 2, 5, 16):
+            w = sample_cyclically_reduced(rank, length, rng)
+            v = CyclicWord(w.letters, rank)
+            assert type(w.letters) is tuple and w == v and hash(w) == hash(v)
+            u = sample_reduced(rank, length, rng)
+            assert type(u.letters) is tuple and u == Word(u.letters, rank)
+            assert hash(u) == hash(Word(u.letters, rank))
 
 
 def test_sample_cyclically_reduced_hits_only_valid_words():
@@ -172,6 +220,20 @@ def test_exponent_sum():
     w = parse_word("x1 x2 X1 x2 x1", 2)
     assert w.exponent_sum(1) == 1
     assert w.exponent_sum(2) == 2
+
+
+@given(letters_st)
+def test_exponent_sum_matches_signed_letter_sum(letters):
+    w = reduce(letters, 3)
+    lts = list(w.letters)
+    while len(lts) >= 2 and lts[0] == -lts[-1]:
+        lts = lts[1:-1]
+    words = [w] + ([CyclicWord(lts, 3)] if lts else [])
+    for u in words:
+        for g in (1, 2, 3):
+            assert u.exponent_sum(g) == sum(
+                1 if a == g else -1 if a == -g else 0 for a in u.letters
+            )
 
 
 def test_count_closed_form_at_rank_one_and_four():
