@@ -30,8 +30,9 @@ from .abelian import (
     enumerate_kernel_slopes,
     enumerate_valid_slopes,
     first_betti_number,
+    slope_basis,
 )
-from .mincond import MinConditionWitness, check_minimum_condition, tau_deficiency_one
+from .mincond import MinConditionWitness, _tau_insert, check_minimum_condition
 from .novikov import injectivity_certificate
 from .smallcanc import check_small_cancellation
 from .words import (
@@ -359,10 +360,11 @@ def tau_count(n: int, length: int, budget: int = 1_000_000) -> TauCountResult:
     image = set()
     for combo in itertools.product(*pools):
         r_count += 1
-        if first_betti_number(Presentation(n, combo)) != 1:
+        basis = slope_basis(Presentation(n, combo))
+        if len(basis) != 1:  # first Betti number is not 1
             continue
         r_prime += 1
-        image.add(tau_deficiency_one(combo, n))
+        image.add(_tau_insert(combo, basis[0]))
     return TauCountResult(
         n=n,
         l=length,
@@ -394,8 +396,8 @@ _CONFIG_KEYS = {
 
 
 def parse_fraction(text: str) -> Fraction:
-    """An exact rational such as ``1/6``; a zero denominator is a ValueError
-    like any other malformed number.
+    """An exact rational such as ``1/6`` or ``0.5``; exponent notation and a
+    zero denominator are ValueErrors like any other malformed number.
 
     >>> parse_fraction("2/12")
     Fraction(1, 6)
@@ -404,6 +406,10 @@ def parse_fraction(text: str) -> Fraction:
         ...
     ValueError: zero denominator in '1/0'
     """
+    if "e" in text.lower():
+        # Fraction would expand a mantissa-exponent form such as 1e-100000000
+        # digit by digit before any range check could refuse it
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

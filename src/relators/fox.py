@@ -1,8 +1,8 @@
 """Exact arithmetic in the rational group ring of a free group, and the free
 differential (Fox) calculus.
 
-Elements are finite Q-linear combinations of freely reduced words; all
-coefficients are `fractions.Fraction`, never floats.  The derivative of a
+Elements are finite Q-linear combinations of freely reduced words with exact
+rational coefficients, never floats.  The derivative of a
 word r with respect to generator j collects +u for every occurrence
 r = u x_j v and -(u x_j^-1) for every occurrence r = u x_j^-1 v; this is the
 unique derivation with d(x_i)/d(x_j) = delta_ij.
@@ -10,7 +10,9 @@ unique derivation with d(x_i)/d(x_j) = delta_ij.
 Products run on a term-dict kernel: a dict from reduced letter tuples to
 nonzero coefficients, kept as Python ints while they are integral (Fox
 derivatives and unit-normalized rows always are) and as `Fraction` only
-otherwise.  `GroupRingElement` is the validated public view of such a dict.
+otherwise.  `GroupRingElement` stores such a dict and builds `Word` and
+`Fraction` values only in its public views (`terms`, `coefficient`,
+`support`, formatting).
 """
 
 from __future__ import annotations
@@ -31,8 +33,37 @@ from .words import (
 )
 
 
+# -- term-dict kernel ---------------------------------------------------
+#
+# A term dict maps freely reduced letter tuples to nonzero coefficients,
+# ints while integral, `Fraction` otherwise.  Sums and products of
+# non-integral coefficients may leave an integral `Fraction`; ints and
+# Fractions of equal value compare and hash alike, so nothing observable
+# depends on which.
+
+Terms = dict[tuple[int, ...], int | Fraction]
+
+# shared Fraction objects for the small integral coefficients that dominate
+_SMALL_FRACTIONS = {c: Fraction(c) for c in range(-16, 17) if c}
+
+
+def _coeff(c) -> int | Fraction:
+    """An exact coefficient in kernel form; floats are refused, since a
+    binary float is not the rational it was meant to be."""
+    if isinstance(c, float):
+        raise TypeError(f"group-ring coefficients must be exact, not float: {c!r}")
+    c = Fraction(c)
+    return int(c.numerator) if c.denominator == 1 else c
+
+
+def _fraction(c: int | Fraction) -> Fraction:
+    """The public `Fraction` of a kernel coefficient."""
+    return c if type(c) is Fraction else _SMALL_FRACTIONS.get(c) or Fraction(c)
+
+
 class GroupRingElement:
-    """Immutable Q[F_n] element: mapping from reduced words to rationals.
+    """Immutable Q[F_n] element: a term dict from reduced letter tuples to
+    nonzero exact coefficients, viewed as a mapping from `Word` to `Fraction`.
 
     >>> x1 = GroupRingElement.from_letters((1,), rank=2)
     >>> (x1 * x1.inverse_unit()).is_one()
@@ -47,46 +78,31 @@ class GroupRingElement:
         rank: int,
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Word, Fraction] = {}
+        checked = []
         for w, c in items:
             if not isinstance(w, Word):
                 raise TypeError("group ring terms are indexed by Word")
             if w.rank != rank:
                 raise ValueError("term rank mismatch")
-            c = Fraction(c)
-            if w in acc:
-                c = acc[w] + c
-            if c == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = c
-        object.__setattr__(self, "_terms", acc)
+            checked.append((w.letters, _coeff(c)))
+        object.__setattr__(self, "_terms", _add_terms({}, checked))
         object.__setattr__(self, "rank", rank)
 
     def __setattr__(self, *args):
         raise AttributeError("GroupRingElement is immutable")
 
-    @staticmethod
-    def _trusted(terms: dict[Word, Fraction], rank: int) -> "GroupRingElement":
-        """Wrap a dict already known to hold rank-`rank` words with nonzero
-        `Fraction` coefficients; nothing is checked or copied."""
-        e = object.__new__(GroupRingElement)
-        object.__setattr__(e, "_terms", terms)
-        object.__setattr__(e, "rank", rank)
-        return e
-
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(rank: int) -> "GroupRingElement":
-        return GroupRingElement((), rank)
+        return _from_kernel({}, rank)
 
     @staticmethod
     def one(rank: int) -> "GroupRingElement":
-        return GroupRingElement([(Word((), rank), Fraction(1))], rank)
+        return _from_kernel({(): 1}, rank)
 
     @staticmethod
     def from_word(w: Word, coeff: Fraction | int = 1) -> "GroupRingElement":
-        return GroupRingElement([(w, Fraction(coeff))], w.rank)
+        return GroupRingElement([(w, coeff)], w.rank)
 
     @staticmethod
     def from_letters(letters: Sequence[int], rank: int, coeff: Fraction | int = 1):
@@ -94,10 +110,12 @@ class GroupRingElement:
 
     # -- queries ------------------------------------------------------
     def terms(self) -> dict[Word, Fraction]:
-        return dict(self._terms)
+        rank = self.rank
+        return {_trusted_word(w, rank): _fraction(c) for w, c in self._terms.items()}
 
     def coefficient(self, w: Word) -> Fraction:
-        return self._terms.get(w, Fraction(0))
+        mine = isinstance(w, Word) and w.rank == self.rank
+        return _fraction(self._terms.get(w.letters, 0) if mine else 0)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -106,38 +124,27 @@ class GroupRingElement:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self == GroupRingElement.one(self.rank)
+        return self._terms == {(): 1}
 
     def support(self) -> list[Word]:
-        return sorted(self._terms, key=_word_sort_key)
+        return [_trusted_word(w, self.rank) for w in _sorted_letters(self._terms)]
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check(other)
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            s = acc.get(w, Fraction(0)) + c
-            if s == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-        return GroupRingElement._trusted(acc, self.rank)
+        acc = _add_terms(dict(self._terms), other._terms.items())
+        return _from_kernel(acc, self.rank)
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement._trusted(
-            {w: -c for w, c in self._terms.items()}, self.rank
-        )
+        return _from_kernel({w: -c for w, c in self._terms.items()}, self.rank)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
     def scale(self, c: Fraction | int) -> "GroupRingElement":
-        c = Fraction(c)
-        if c == 0:
-            return GroupRingElement.zero(self.rank)
-        return GroupRingElement._trusted(
-            {w: c * k for w, k in self._terms.items()}, self.rank
-        )
+        c = _coeff(c)
+        terms = {w: _coeff(c * k) for w, k in self._terms.items()} if c else {}
+        return _from_kernel(terms, self.rank)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         return ring_multiply(self, other)
@@ -147,7 +154,8 @@ class GroupRingElement:
         if len(self._terms) != 1:
             raise ValueError("only single-term elements are invertible here")
         (w, c), = self._terms.items()
-        return GroupRingElement([(w.inverse(), 1 / c)], self.rank)
+        inverse = tuple(-a for a in reversed(w))
+        return _from_kernel({inverse: _coeff(1 / Fraction(c))}, self.rank)
 
     def __eq__(self, other) -> bool:
         return (
@@ -169,42 +177,36 @@ class GroupRingElement:
             raise ValueError("rank mismatch")
 
 
-def _word_sort_key(w: Word):
-    return (len(w), tuple(letter_order(a) for a in w.letters))
+def _add_terms(acc: Terms, pairs: Iterable[tuple]) -> Terms:
+    """Add (letters, coefficient) pairs into `acc` in place, dropping zero
+    sums; returns `acc`."""
+    for w, c in pairs:
+        s = acc.get(w, 0) + c
+        if s:
+            acc[w] = s
+        else:
+            acc.pop(w, None)
+    return acc
 
 
-# -- term-dict kernel ---------------------------------------------------
-#
-# A term dict maps freely reduced letter tuples to nonzero coefficients,
-# ints while integral, `Fraction` otherwise.
-
-Terms = dict[tuple[int, ...], int | Fraction]
+def _sorted_letters(terms: Terms) -> list[tuple[int, ...]]:
+    """Support in display order: shortest first, then by `letter_order`."""
+    return sorted(terms, key=lambda w: (len(w), tuple(map(letter_order, w))))
 
 
 def _kernel_terms(e: GroupRingElement) -> Terms:
-    """Term dict of a public element, integral coefficients as ints."""
-    return {
-        w.letters: c.numerator if c.denominator == 1 else c
-        for w, c in e._terms.items()
-    }
-
-
-# shared Fraction objects for the small integral coefficients that dominate
-_SMALL_FRACTIONS = {c: Fraction(c) for c in range(-16, 17) if c}
+    """The element's own term dict; callers read it and never mutate it."""
+    return e._terms
 
 
 def _from_kernel(terms: Terms, rank: int) -> GroupRingElement:
-    """Trusted constructor for kernel output: the words are reduced and in
-    range by construction and the coefficients nonzero, so only the public
-    types are built."""
-    small = _SMALL_FRACTIONS.get
-    return GroupRingElement._trusted(
-        {
-            _trusted_word(w, rank): small(c) or Fraction(c)
-            for w, c in terms.items()
-        },
-        rank,
-    )
+    """Wrap kernel output without a check or a copy: the words are reduced
+    and in range by construction and the coefficients nonzero.  The caller
+    hands the dict over and never mutates it again."""
+    e = object.__new__(GroupRingElement)
+    object.__setattr__(e, "_terms", terms)
+    object.__setattr__(e, "rank", rank)
+    return e
 
 
 def _mul_terms(a: Terms, b: Terms, acc: Terms | None = None) -> Terms:
@@ -316,13 +318,9 @@ _TERM_RE = re.compile(
 
 
 def format_ring_element(e: GroupRingElement) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for w in e.support():
-        body = format_word(w) if len(w) else ""
-        parts.append(f"{e.coefficient(w)}*[{body}]")
-    return " + ".join(parts)
+    terms = e._terms
+    parts = (f"{terms[w]}*[{format_word(w)}]" for w in _sorted_letters(terms))
+    return " + ".join(parts) or "0"
 
 
 def parse_ring_element(text: str, rank: int) -> GroupRingElement:

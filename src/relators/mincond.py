@@ -376,7 +376,13 @@ def tau_deficiency_one(
     basis = slope_basis(Presentation(n, relators))
     if len(basis) != 1:
         raise ValueError("first Betti number must be 1")
-    phi = basis[0]
+    return _tau_insert(relators, basis[0])
+
+
+def _tau_insert(relators: tuple[CyclicWord, ...], phi: Slope) -> tuple[CyclicWord, ...]:
+    """The insertion of `tau_deficiency_one` for a checked (n-1)-tuple of
+    rank n whose kernel slope, from `slope_basis`, is `phi`."""
+    n = len(relators) + 1
     j = next(g for g in range(1, n + 1) if phi.of_generator(g) != 0)
 
     out = []

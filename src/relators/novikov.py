@@ -18,15 +18,17 @@ selection, row normalization, truncation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from .abelian import Slope
 from .fox import (
     GroupRingElement,
     JacobianMatrix,
     Terms,
+    _add_terms,
     _from_kernel,
     _kernel_terms,
     _mul_terms,
@@ -73,6 +75,25 @@ class GradedElement:
         return out
 
 
+def _degrees(words: Sequence[tuple[int, ...]], phi: Slope) -> list[int]:
+    """phi(w) of each letter tuple w, recomputed exactly from its letters by
+    signed generator counts; every degree in this module comes from here.
+
+    >>> _degrees([(), (2, 2, -1), (-2,)], Slope((3, -1)))
+    [0, -5, 1]
+    """
+    total = [0] * len(words)
+    for g, v in enumerate(phi.values, start=1):
+        if v:
+            total = [t + v * (w.count(g) - w.count(-g)) for t, w in zip(total, words)]
+    return total
+
+
+def _min_degree(words: Iterable[tuple[int, ...]], phi: Slope) -> Optional[int]:
+    """Least degree over `words`, in one batched pass; None when empty."""
+    return min(_degrees(list(words), phi), default=None)
+
+
 def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
     """Partition terms by the slope value of their words.
 
@@ -81,20 +102,17 @@ def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
     >>> sorted(g.components), g.min_degree
     ([-1, 0], -1)
     """
-    buckets: dict[int, dict[Word, Fraction]] = {}
-    for w, c in e.terms().items():
-        buckets.setdefault(phi.of_word(w), {})[w] = c
-    comps = {
-        p: GroupRingElement(terms, e.rank) for p, terms in sorted(buckets.items())
-    }
+    terms = _kernel_terms(e)
+    buckets: dict[int, Terms] = {}
+    for w, p in zip(terms, _degrees(list(terms), phi)):
+        buckets.setdefault(p, {})[w] = terms[w]
+    comps = {p: _from_kernel(part, e.rank) for p, part in sorted(buckets.items())}
     return GradedElement(comps, phi)
 
 
 def min_degree(e: GroupRingElement, phi: Slope) -> Optional[int]:
     """Least slope value over the support; None for the zero element."""
-    if e.is_zero():
-        return None
-    return min(phi.of_word(w) for w in e.terms())
+    return _min_degree(_kernel_terms(e), phi)
 
 
 @dataclass(frozen=True)
@@ -192,8 +210,9 @@ Matrix = tuple[tuple[GroupRingElement, ...], ...]
 @dataclass(frozen=True)
 class GradedCertificate:
     """Exact finite-order inverse certificate for a graded-dominant matrix:
-    normalized matrix, truncation order, truncated inverse, the two-sided
-    error matrices (both equal to -(-B)^K), and the verified degree bound."""
+    normalized matrix, truncation order, truncated inverse, the error matrix
+    -(-B)^K (which A*C_K - I and C_K*A - I both equal), and the verified
+    degree bound."""
 
     normalized_matrix: Matrix
     slope: Slope
@@ -222,20 +241,11 @@ def _matmul(a: list[list[Terms]], b: list[list[Terms]]) -> list[list[Terms]]:
     return out
 
 
-def _neg(a: list[list[Terms]]) -> list[list[Terms]]:
-    return [[{w: -c for w, c in e.items()} for e in row] for row in a]
-
-
 def _minus_eye(a: list[list[Terms]]) -> list[list[Terms]]:
-    """a - I, as new dicts."""
-    out = [[dict(e) for e in row] for row in a]
-    for i, row in enumerate(out):
-        c = row[i].get((), 0) - 1
-        if c:
-            row[i][()] = c
-        else:
-            del row[i][()]
-    return out
+    """a - I, in place; returns a."""
+    for i, row in enumerate(a):
+        _add_terms(row[i], [((), -1)])
+    return a
 
 
 def truncated_neumann_inverse(
@@ -247,8 +257,8 @@ def truncated_neumann_inverse(
     """Certificate for A = I + B with mindeg(B) >= 1 (checked literally on
     the given matrix): C_K = sum_{k<K} (-B)^k with exact two-sided errors.
 
-    The series runs on the term-dict kernel of `fox`; the public matrices
-    are built once, at the end.
+    The series runs on the term-dict kernel of `fox`, and the returned
+    matrices wrap its term dicts as they are.
 
     >>> from .fox import parse_ring_element
     >>> A = ((parse_ring_element("1*[] + -1*[X2]", rank=2),),)
@@ -267,23 +277,17 @@ def truncated_neumann_inverse(
     rank = A[0][0].rank
     if any(e.rank != rank for row in A for e in row):
         raise ValueError("rank mismatch")
-    height = {g: v for g, v in enumerate(phi.values, start=1)}
-    height.update({-g: -v for g, v in height.items()})
-
-    def degree(w: tuple[int, ...]) -> int:
-        return sum(map(height.__getitem__, w))
-
     a = [[_kernel_terms(e) for e in row] for row in A]
-    b = _minus_eye(a)
+    b = _minus_eye([[dict(e) for e in row] for row in a])
     for i in range(size):
         for j in range(size):
-            d = min(map(degree, b[i][j]), default=None)
+            d = _min_degree(b[i][j], phi)
             if d is not None and d < 1:
                 where = "diagonal" if i == j else "off-diagonal"
                 raise ValueError(
                     f"not graded-dominant: {where} entry ({i},{j}) has degree {d} < 1"
                 )
-    neg_b = _neg(b)
+    neg_b = [[{w: -c for w, c in e.items()} for e in row] for row in b]
     # (-B)^k, starting from the identity
     power = [[{(): 1} if i == j else {} for j in range(size)] for i in range(size)]
     series = [[dict(e) for e in row] for row in power]  # sum so far
@@ -296,20 +300,17 @@ def truncated_neumann_inverse(
             )
         for s_row, p_row in zip(series, power):
             for acc, e in zip(s_row, p_row):
-                for w, c in e.items():
-                    t = acc.get(w, 0) + c
-                    if t:
-                        acc[w] = t
-                    else:
-                        del acc[w]
+                _add_terms(acc, e.items())
         series_terms = sum(len(e) for row in series for e in row)
-    final_power = _matmul(power, neg_b)  # (-B)^K
-    err_right = _minus_eye(_matmul(a, series))  # A*C_K - I
-    err_left = _minus_eye(_matmul(series, a))  # C_K*A - I
-    expected = _neg(final_power)
-    if err_right != expected or err_left != expected:
+    # the one stored -(-B)^K = (-B)^(K-1) B, against which both sides of the
+    # telescoping identity are checked
+    error = _matmul(power, b)
+    if (
+        _minus_eye(_matmul(a, series)) != error  # A*C_K - I
+        or _minus_eye(_matmul(series, a)) != error  # C_K*A - I
+    ):
         raise AssertionError("telescoping identity failed (ring arithmetic bug)")
-    edeg = min((degree(w) for row in err_right for e in row for w in e), default=None)
+    edeg = _min_degree(chain.from_iterable(chain.from_iterable(error)), phi)
     if edeg is not None and edeg < order:
         raise AssertionError("error degree below truncation order (grading bug)")
 
@@ -321,7 +322,7 @@ def truncated_neumann_inverse(
         slope=phi,
         truncation_order=order,
         truncated_inverse=public(series),
-        error_matrix=public(err_right),
+        error_matrix=public(error),
         error_min_degree=edeg,
         term_count=series_terms,
     )
@@ -359,15 +360,4 @@ def injectivity_certificate(
         ).inverse_unit()
         rows.append(tuple(unit * jac[i, j] for j in range(m)))
     cert = truncated_neumann_inverse(tuple(rows), std_phi, order, term_cap)
-    return GradedCertificate(
-        normalized_matrix=cert.normalized_matrix,
-        slope=cert.slope,
-        truncation_order=cert.truncation_order,
-        truncated_inverse=cert.truncated_inverse,
-        error_matrix=cert.error_matrix,
-        error_min_degree=cert.error_min_degree,
-        term_count=cert.term_count,
-        lowest_terms=report,
-        witness=witness,
-        relabeling=relab,
-    )
+    return replace(cert, lowest_terms=report, witness=witness, relabeling=relab)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import time
@@ -102,6 +103,36 @@ def test_certify_json(capsys, tmp_path):
     assert data["rows"][0]["lowest_word"] == "x2"
     assert data["rows"][0]["case"] == "edge-flat-i"
     assert data["witness"]["n_role"] == 2
+
+
+# sha256 (first 16 hex digits) of `relators certify` stdout at orders 1..6
+# for the three worked examples of acceptance criterion 6
+CERTIFY_GOLDEN = [
+    ("0,-1", "x2 x1 X2 X1", (
+        "33ca3701bffbc4e2", "0ecb5bb7cd8a1f48", "79b56afb5aafad3c",
+        "bd542752dde79b7d", "fedf60c231252609", "ef849e345c9bd953",
+    )),
+    ("0,0,-1", "x3 x1 X3 X1\nx3 x2 X3 X2", (
+        "db2f7dbf5f3cc6a5", "4d231ec958ddb506", "99629dde24fd2058",
+        "21da7428e5f27d82", "b1cfab11c7c92a6a", "32f47c877862cee4",
+    )),
+    ("0,-1", "x1 x2 x2 X1 X2 x1 x1 X2", (
+        "2d420d6387c8acb4", "9b5435fba5cdbcb1", "17aa1ff86639d890",
+        "d007f2a9d9d1d21b", "1460be8885843a9e", "b35ec11239c1bc7c",
+    )),
+]
+
+
+@pytest.mark.parametrize("phi,relators,digests", CERTIFY_GOLDEN, ids=["commutator", "two-commutators", "insertion"])
+def test_certify_stdout_golden(capsys, tmp_path, phi, relators, digests):
+    f = tmp_path / "rel.txt"
+    f.write_text(relators + "\n")
+    got = []
+    for order in range(1, 7):
+        code, out = run_cli(capsys, "certify", "--phi", phi, "--order", str(order), str(f))
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(got) == digests
 
 
 def test_embed_json(capsys, tmp_path):
@@ -262,3 +293,30 @@ def test_zero_denominator_in_config_exits_2(capsys, tmp_path):
     assert main(["experiment", "--config", str(cfg)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {"error": "ValueError", "message": "zero denominator in '1/0'"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-sc", "--lambda", "1e-1000000"],
+        ["embed", "--phi", "0,-1", "--guarantee-c16", "--epsilon", "1e-1000000"],
+        ["experiment", "--n", "2", "--m", "1", "--lengths", "8", "--predicate", "c-prime", "--lambda", "1e-1000000"],
+    ],
+    ids=["check-sc", "embed", "experiment"],
+)
+def test_exponent_notation_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "'1e-1000000'" in capsys.readouterr().err
+
+
+def test_exponent_notation_in_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("predicate = c-prime\nlambda = 1e-1000000\nn = 2\nm = 1\nlengths = 12\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "ValueError",
+        "message": "exponent notation is not accepted: '1e-1000000'",
+    }

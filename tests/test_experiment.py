@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from relators.experiment import (
     derive_seed,
     evaluate_predicate,
     parse_config,
+    parse_fraction,
     rows_to_csv,
     run_experiment,
     sample_tuple,
@@ -304,3 +306,14 @@ def test_tau_count_frozen():
 def test_tau_count_budget_guard():
     with pytest.raises(ValueError, match="budget"):
         tau_count(2, 10, budget=100)
+
+
+def test_parse_fraction_refuses_exponent_notation_fast():
+    assert parse_fraction("1/6") == Fraction(1, 6)
+    assert parse_fraction("0.5") == Fraction(1, 2)
+    # Fraction itself expands these digit by digit: 1e-10000000 took 12 s
+    for text in ("1e-1000000", "1E-10000000", "2e3", "-0.5e1"):
+        t0 = time.process_time()
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_fraction(text)
+        assert time.process_time() - t0 < 0.01

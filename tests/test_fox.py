@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,15 @@ from relators.fox import (
     parse_ring_element,
     ring_multiply,
 )
-from relators.words import Presentation, Word, parse_cyclic_word, parse_word, reduce
+from relators.words import (
+    Presentation,
+    Word,
+    format_word,
+    letter_order,
+    parse_cyclic_word,
+    parse_word,
+    reduce,
+)
 
 
 RANK = 3
@@ -209,3 +219,102 @@ def test_ring_multiply_cancels_across_the_junction(u, v):
     uu = GroupRingElement.from_word(u)
     prod = ring_multiply(ring_multiply(uu, uu.inverse_unit()), GroupRingElement.from_word(v))
     assert prod == GroupRingElement.from_word(v)
+
+
+def test_float_coefficients_are_refused():
+    w = Word((1,), 2)
+    e = GroupRingElement.from_word(w, 3)
+    for bad in (0.1, 0.5, 1.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            GroupRingElement.from_word(w, bad)
+        with pytest.raises(TypeError):
+            GroupRingElement.from_letters((1,), 2, bad)
+        with pytest.raises(TypeError):
+            GroupRingElement([(w, bad)], 2)
+        with pytest.raises(TypeError):
+            GroupRingElement({w: bad}, 2)
+        with pytest.raises(TypeError):
+            e.scale(bad)
+    assert e.scale(Fraction(1, 2)) == GroupRingElement.from_word(w, Fraction(3, 2))
+
+
+# -- public views against a plain dict[Word, Fraction] oracle -----------------
+
+# a small word space, so that sums cancel and elements collide
+small_words_st = st.lists(
+    st.sampled_from((1, -1, 2, -2)), max_size=3
+).map(lambda ls: reduce(ls, RANK))
+
+small_elements_st = st.lists(
+    st.tuples(small_words_st, coefficients_st), max_size=6
+)
+
+
+def oracle_sum(items):
+    acc = {}
+    for w, c in items:
+        acc[w] = acc.get(w, Fraction(0)) + Fraction(c)
+    return {w: c for w, c in acc.items() if c}
+
+
+def oracle_product(a, b):
+    acc = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            w = reduce(u.letters + v.letters, RANK)
+            acc[w] = acc.get(w, Fraction(0)) + cu * cv
+    return {w: c for w, c in acc.items() if c}
+
+
+def check_views(e, oracle):
+    terms = e.terms()
+    assert terms == oracle
+    assert all(type(w) is Word and w.rank == RANK for w in terms)
+    assert all(type(c) is Fraction for c in terms.values())
+    order = sorted(oracle, key=lambda w: (len(w), [letter_order(a) for a in w.letters]))
+    assert e.support() == order
+    for w in order + [Word((3, 3), RANK)]:
+        c = e.coefficient(w)
+        assert type(c) is Fraction and c == oracle.get(w, 0)
+    assert e.coefficient(Word((1,), RANK + 1)) == 0
+    text = " + ".join(f"{oracle[w]}*[{format_word(w)}]" for w in order) or "0"
+    assert format_ring_element(e) == text
+    assert e.term_count() == len(oracle)
+    assert e.is_zero() == (not oracle)
+    assert e.is_one() == (oracle == {Word((), RANK): 1})
+
+
+@given(small_elements_st, small_elements_st)
+@settings(max_examples=300)
+def test_public_views_match_dict_oracle(items_a, items_b):
+    oa, ob = oracle_sum(items_a), oracle_sum(items_b)
+    a, b = GroupRingElement(items_a, RANK), GroupRingElement(items_b, RANK)
+    check_views(a, oa)
+    check_views(b, ob)
+    # kernel-built elements: sums, negation, scaling and products
+    check_views(a + b, oracle_sum(list(oa.items()) + list(ob.items())))
+    check_views(-a, {w: -c for w, c in oa.items()})
+    check_views(a.scale(Fraction(2, 3)), {w: c * Fraction(2, 3) for w, c in oa.items()})
+    prod = oracle_product(oa, ob)
+    check_views(a * b, prod)
+    # equality and hash follow the oracle, whichever path built the element
+    assert (a == b) == (oa == ob)
+    rebuilt = GroupRingElement(prod, RANK)
+    assert a * b == rebuilt and hash(a * b) == hash(rebuilt)
+    via_one = a * GroupRingElement.one(RANK)
+    assert via_one == a and hash(via_one) == hash(a)
+    if oa == ob:
+        assert hash(a) == hash(b)
+    # the returned views are copies
+    a.terms()[Word((3,), RANK)] = Fraction(1)
+    check_views(a, oa)
+
+
+def test_integral_product_of_fractions_equals_int_element():
+    half = GroupRingElement.from_letters((1,), RANK, Fraction(1, 2))
+    four = GroupRingElement.from_letters((2,), RANK, 4)
+    two = GroupRingElement.from_letters((1, 2), RANK, 2)
+    prod = half * four
+    assert prod == two and hash(prod) == hash(two)
+    assert format_ring_element(prod) == "2*[x1 x2]"
+    assert prod.terms() == {Word((1, 2), RANK): Fraction(2)}

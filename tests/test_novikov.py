@@ -366,3 +366,65 @@ def test_jacobian_built_once_per_certificate(monkeypatch):
         cert = injectivity_certificate(p, Slope((0, 0, -1)), order)
         assert len(calls) == 1
         assert cert.error_min_degree is None or cert.error_min_degree >= order
+
+
+# -- the batched degree routine and the wrapped certificate matrices ----------
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            st.lists(
+                st.lists(
+                    st.integers(min_value=-n, max_value=n).filter(lambda a: a != 0),
+                    max_size=12,
+                ).map(lambda ls: reduce(ls, n)),
+                max_size=8,
+            ),
+        )
+    )
+)
+@settings(max_examples=300)
+def test_batched_degrees_match_slope_of_word(case):
+    values, words = case
+    phi = Slope(tuple(values))
+    rank = len(values)
+    words = words + [Word((), rank)]
+    letters = [w.letters for w in words]
+    expected = [phi.of_word(w) for w in words]
+    assert novikov._degrees(letters, phi) == expected
+    assert novikov._degrees(letters[-1:], phi) == [0]  # the empty word
+    assert novikov._degrees([], phi) == []
+    assert novikov._min_degree(letters, phi) == min(expected)
+    assert novikov._min_degree([], phi) is None
+
+
+def test_certificate_matrices_unchanged_by_later_arithmetic():
+    p = Presentation(2, (parse_cyclic_word("x1 x2 x2 X1 X2 x1 x1 X2", 2),))
+    phi = Slope((0, -1))
+    cert = injectivity_certificate(p, phi, 4)
+    mats = (cert.normalized_matrix, cert.truncated_inverse, cert.error_matrix)
+
+    def snapshot():
+        return [[[e.terms() for e in row] for row in m] for m in mats]
+
+    before = snapshot()
+    for m in mats:
+        for row in m:
+            for e in row:
+                for f in (e + e, e - e, -e, e * e, e.scale(3), e.scale(Fraction(1, 2))):
+                    f + e
+                grade(e, phi).reassemble() + e
+                e.terms().clear()
+    one = GroupRingElement.one(2)
+    for row_a, row_c in zip(cert.normalized_matrix, cert.truncated_inverse):
+        for a, c in zip(row_a, row_c):
+            (a * c - one) + c
+    truncated_neumann_inverse(cert.normalized_matrix, cert.slope, 3)
+    assert snapshot() == before
+    again = injectivity_certificate(p, phi, 4)
+    assert (again.truncated_inverse, again.error_matrix) == (
+        cert.truncated_inverse,
+        cert.error_matrix,
+    )
