@@ -27,15 +27,17 @@ from typing import Optional, Sequence
 from .abelian import Slope, count_slope_classes, enumerate_valid_slopes, slope_basis
 from .embed import embed_presentation
 from .experiment import (
-    ExperimentConfig,
-    PredicateSpec,
-    parse_config,
-    parse_fraction,
+    CONFIG_PARSERS,
+    MODES,
+    PREDICATES,
+    build_config,
+    config_values,
+    parse_lengths,
     rows_to_csv,
     run_experiment,
     tau_count,
 )
-from .fox import GroupRingElement, format_ring_element
+from .fox import GroupRingElement, format_ring_element, parse_fraction
 from .mincond import (
     MinConditionFailure,
     check_minimum_condition,
@@ -240,45 +242,20 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_PARSERS and v is not None}
     if args.config:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.out is not None:
-            overrides["out"] = args.out
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+            values = config_values(fh.read())
+    elif all(flags.get(k) for k in ("n", "m", "lengths", "predicate")):
+        values = {}
     else:
-        if not (args.n and args.m and args.lengths and args.predicate):
-            # a usage error, reported like argparse's own (status 2)
-            sys.stderr.write(
-                "relators experiment: error: experiment needs --config or all"
-                " of --n --m --lengths --predicate\n"
-            )
-            raise SystemExit(2)
-        spec = PredicateSpec(
-            name=args.predicate,
-            lam=args.lam,
-            k=args.k,
-            box=args.box,
+        # a usage error, reported like argparse's own (status 2)
+        sys.stderr.write(
+            "relators experiment: error: experiment needs --config or all"
+            " of --n --m --lengths --predicate\n"
         )
-        cfg = ExperimentConfig(
-            n=args.n,
-            m=args.m,
-            lengths=tuple(int(x) for x in args.lengths.split(",")),
-            predicate=spec,
-            mode=args.mode,
-            trials=args.trials,
-            seed=args.seed if args.seed is not None else 0,
-            workers=args.workers if args.workers is not None else 1,
-            budget=args.budget,
-            timing=args.timing,
-            out=args.out,
-        )
+        raise SystemExit(2)
+    cfg = build_config({**values, **flags})
     rows = run_experiment(cfg)
     _emit(rows_to_csv(rows), cfg.out)
     return 0
@@ -367,22 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="seeded batch experiments to CSV")
     sp.add_argument("--config", help="key = value config file")
+    # each flag sets the config key of its name, over the file's value
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--lengths", help="comma-separated lengths")
-    sp.add_argument(
-        "--predicate",
-        choices=["c-prime", "b1", "min-condition", "slope-classes", "certificate"],
-    )
-    sp.add_argument("--lambda", dest="lam", type=parse_fraction)
+    sp.add_argument("--lengths", type=parse_lengths, help="comma-separated lengths")
+    sp.add_argument("--predicate", choices=PREDICATES)
+    sp.add_argument("--lambda", dest="lambda", metavar="LAM", type=parse_fraction)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--box", type=int, default=8)
-    sp.add_argument("--mode", choices=["monte-carlo", "exhaustive"], default="monte-carlo")
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--box", type=int)
+    sp.add_argument("--mode", choices=MODES)
+    sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--workers", type=int)
-    sp.add_argument("--budget", type=int, default=1_000_000)
-    sp.add_argument("--timing", action="store_true")
+    sp.add_argument("--budget", type=int)
+    sp.add_argument("--timing", action="store_true", default=None)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_experiment)
 

@@ -39,7 +39,7 @@ from .mincond import (
     standardize,
 )
 from .smallcanc import PieceReport, check_small_cancellation, longest_piece
-from .words import CyclicWord, Presentation, Word, cyclic_reduce, reduce_letters
+from .words import CyclicWord, Presentation, Substitution, Word, cyclic_reduce, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,6 @@ def _target_slope(m: int) -> Slope:
     return Slope((0,) * m + (-1,))
 
 
-def _raw_image(r: CyclicWord, words: Sequence[Word]) -> list[int]:
-    letters: list[int] = []
-    for a in r.letters:
-        img = words[abs(a) - 1]
-        letters.extend(img.letters if a > 0 else img.inverse().letters)
-    return letters
-
-
 def _raw_psi_min(raw: Sequence[int], psi: Slope) -> int:
     h = 0
     lo = 0
@@ -215,7 +207,8 @@ def embed_presentation(
         if not w_ok:
             continue
 
-        raws = [_raw_image(r, words) for r in relators]
+        sub = Substitution(words)
+        raws = [sub.raw_image(r) for r in relators]
         target = []
         stats_raw = []
         stats_cancel = []

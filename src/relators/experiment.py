@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .abelian import (
     Slope,
@@ -32,6 +32,7 @@ from .abelian import (
     first_betti_number,
     slope_basis,
 )
+from .fox import parse_fraction
 from .mincond import MinConditionWitness, _tau_insert, check_minimum_condition
 from .novikov import injectivity_certificate
 from .smallcanc import check_small_cancellation
@@ -47,6 +48,9 @@ CSV_HEADER = (
     "predicate,n,m,l,mode,trials,successes,"
     "estimate_num,estimate_den_or_point,ci_lo,ci_hi,seed,wall_ms"
 )
+
+PREDICATES = ("c-prime", "b1", "min-condition", "slope-classes", "certificate")
+MODES = ("monte-carlo", "exhaustive")
 
 # 97.5% normal quantile, fixed to keep output byte-stable across platforms
 _WILSON_Z = 1.959963984540054
@@ -119,7 +123,7 @@ class ExperimentConfig:
             raise ValueError("need n >= 2 and m >= 1")
         if not self.lengths or any(l < 1 for l in self.lengths):
             raise ValueError("lengths must be positive")
-        if self.mode not in ("monte-carlo", "exhaustive"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -201,22 +205,29 @@ def sample_tuple(
     return tuple(sample_cyclically_reduced(n, length, rng) for _ in range(m))
 
 
+def _first_mincond_slope(
+    p: Presentation, relators: tuple[CyclicWord, ...], box: int
+) -> Optional[Slope]:
+    """The first primitive kernel slope in the box that passes the minimum
+    condition, or None."""
+    for phi in enumerate_kernel_slopes(p, box, primitive_only=True):
+        if isinstance(check_minimum_condition(relators, phi), MinConditionWitness):
+            return phi
+    return None
+
+
 def evaluate_predicate(
     spec: PredicateSpec, n: int, relators: Sequence[CyclicWord]
 ) -> bool:
+    relators = tuple(relators)
     m = len(relators)
-    p = Presentation(n, tuple(relators))
+    p = Presentation(n, relators)
     if spec.name == "c-prime":
-        return check_small_cancellation(tuple(relators), spec.lam)[0]
+        return check_small_cancellation(relators, spec.lam)[0]
     if spec.name == "b1":
         return first_betti_number(p) == max(n - m, 0)
     if spec.name == "min-condition":
-        for phi in enumerate_kernel_slopes(p, spec.box, primitive_only=True):
-            if isinstance(
-                check_minimum_condition(tuple(relators), phi), MinConditionWitness
-            ):
-                return True
-        return False
+        return _first_mincond_slope(p, relators, spec.box) is not None
     if spec.name == "slope-classes":
         slopes = enumerate_valid_slopes(p, spec.box)
         if not slopes:
@@ -224,16 +235,11 @@ def evaluate_predicate(
         count, _ = count_slope_classes(p, slopes)
         return count >= spec.k
     if spec.name == "certificate":
-        for phi in enumerate_kernel_slopes(p, spec.box, primitive_only=True):
-            if isinstance(
-                check_minimum_condition(tuple(relators), phi), MinConditionWitness
-            ):
-                cert = injectivity_certificate(p, phi, spec.k)
-                return (
-                    cert.error_min_degree is None
-                    or cert.error_min_degree >= spec.k
-                )
-        return False
+        phi = _first_mincond_slope(p, relators, spec.box)
+        if phi is None:
+            return False
+        cert = injectivity_certificate(p, phi, spec.k)
+        return cert.error_min_degree is None or cert.error_min_degree >= spec.k
     raise ValueError(f"unknown predicate {spec.name}")
 
 
@@ -243,8 +249,17 @@ def _run_trial(args: tuple[PredicateSpec, int, int, int, int, int]) -> bool:
     return evaluate_predicate(spec, n, sample_tuple(n, m, length, rng))
 
 
-def _exhaustive_budget(n: int, m: int, length: int) -> int:
-    return count_cyclically_reduced(n, length) ** m
+def _all_tuples(
+    n: int, m: int, length: int, budget: int
+) -> tuple[int, Iterator[tuple[CyclicWord, ...]]]:
+    """The number of ordered m-tuples of cyclically reduced length-l words
+    and an iterator over them in lexicographic order; refused before any
+    enumeration when the number exceeds the budget."""
+    total = count_cyclically_reduced(n, length) ** m
+    if total > budget:
+        raise ValueError(f"exhaustive space {total} exceeds budget {budget}")
+    pool = list(enumerate_cyclically_reduced(n, length))
+    return total, itertools.product(pool, repeat=m)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -254,39 +269,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     for length in cfg.lengths:
         t0 = time.perf_counter()
         if cfg.mode == "exhaustive":
-            total = _exhaustive_budget(cfg.n, cfg.m, length)
-            if total > cfg.budget:
-                raise ValueError(
-                    f"exhaustive space {total} exceeds budget {cfg.budget}"
-                )
-            successes = 0
-            pools = [
-                list(enumerate_cyclically_reduced(cfg.n, length))
-                for _ in range(cfg.m)
-            ]
-            for combo in itertools.product(*pools):
-                if evaluate_predicate(cfg.predicate, cfg.n, combo):
-                    successes += 1
-            est = Fraction(successes, total)
-            row = ExperimentRow(
-                predicate=cfg.predicate.label(),
-                n=cfg.n,
-                m=cfg.m,
-                l=length,
-                mode=cfg.mode,
-                trials=total,
-                successes=successes,
-                estimate_num=est.numerator,
-                estimate_den_or_point=str(est.denominator),
-                ci_lo=None,
-                ci_hi=None,
-                seed=cfg.seed,
-                wall_ms=int((time.perf_counter() - t0) * 1000) if cfg.timing else 0,
-            )
+            trials, tuples = _all_tuples(cfg.n, cfg.m, length, cfg.budget)
+            successes = sum(evaluate_predicate(cfg.predicate, cfg.n, t) for t in tuples)
+            est = Fraction(successes, trials)
+            estimate = (est.numerator, str(est.denominator), None, None)
         else:
+            trials = cfg.trials
             tasks = [
-                (cfg.predicate, cfg.n, cfg.m, length, cfg.seed, t)
-                for t in range(cfg.trials)
+                (cfg.predicate, cfg.n, cfg.m, length, cfg.seed, t) for t in range(trials)
             ]
             if cfg.workers > 1:
                 with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -294,23 +284,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
             else:
                 outcomes = [_run_trial(t) for t in tasks]
             successes = sum(outcomes)
-            lo, hi = wilson_interval(successes, cfg.trials)
-            row = ExperimentRow(
-                predicate=cfg.predicate.label(),
-                n=cfg.n,
-                m=cfg.m,
-                l=length,
-                mode=cfg.mode,
-                trials=cfg.trials,
-                successes=successes,
-                estimate_num=None,
-                estimate_den_or_point=repr(successes / cfg.trials),
-                ci_lo=lo,
-                ci_hi=hi,
-                seed=cfg.seed,
-                wall_ms=int((time.perf_counter() - t0) * 1000) if cfg.timing else 0,
+            estimate = (None, repr(successes / trials), *wilson_interval(successes, trials))
+        wall_ms = int((time.perf_counter() - t0) * 1000) if cfg.timing else 0
+        rows.append(
+            ExperimentRow(
+                cfg.predicate.label(), cfg.n, cfg.m, length, cfg.mode,
+                trials, successes, *estimate, cfg.seed, wall_ms,
             )
-        rows.append(row)
+        )
     return rows
 
 
@@ -351,15 +332,10 @@ def tau_count(n: int, length: int, budget: int = 1_000_000) -> TauCountResult:
     filter to first Betti number 1, push through tau_deficiency_one, and
     count the image exactly."""
     m = n - 1
-    total = count_cyclically_reduced(n, length) ** m
-    if total > budget:
-        raise ValueError(f"exhaustive space {total} exceeds budget {budget}")
-    pools = [list(enumerate_cyclically_reduced(n, length)) for _ in range(m)]
-    r_count = 0
+    r_count, tuples = _all_tuples(n, m, length, budget)
     r_prime = 0
     image = set()
-    for combo in itertools.product(*pools):
-        r_count += 1
+    for combo in tuples:
         basis = slope_basis(Presentation(n, combo))
         if len(basis) != 1:  # first Betti number is not 1
             continue
@@ -375,45 +351,70 @@ def tau_count(n: int, length: int, budget: int = 1_000_000) -> TauCountResult:
     )
 
 
-# -- config file: `key = value` lines, '#' comments --------------------
+# -- config file: `key = value` lines, '#' comments ----------------------
+#
+# `relators experiment` takes the same keys as flags of the same names, and
+# a flag that is given wins over the file's key.
 
-_CONFIG_KEYS = {
-    "n",
-    "m",
-    "lengths",
-    "trials",
-    "seed",
-    "mode",
-    "predicate",
-    "lambda",
-    "k",
-    "box",
-    "workers",
-    "budget",
-    "timing",
-    "out",
+
+def parse_lengths(text: str) -> tuple[int, ...]:
+    """Comma-separated lengths; empty items are skipped."""
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+def _parse_flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# how each config key's text becomes its value
+CONFIG_PARSERS = {
+    "n": int,
+    "m": int,
+    "lengths": parse_lengths,
+    "trials": int,
+    "seed": int,
+    "mode": str,
+    "predicate": str,
+    "lambda": parse_fraction,
+    "k": int,
+    "box": int,
+    "workers": int,
+    "budget": int,
+    "timing": _parse_flag,
+    "out": str,
 }
+_CONFIG_KEYS = frozenset(CONFIG_PARSERS)
+# the keys that set a PredicateSpec field, and that field's name
+_SPEC_FIELDS = {"predicate": "name", "lambda": "lam", "k": "k", "box": "box"}
 
 
-def parse_fraction(text: str) -> Fraction:
-    """An exact rational such as ``1/6`` or ``0.5``; exponent notation and a
-    zero denominator are ValueErrors like any other malformed number.
+def build_config(values: Mapping[str, object]) -> ExperimentConfig:
+    """The config for parsed key values; a key that is not given keeps its
+    dataclass default."""
+    for required in ("n", "m", "lengths", "predicate"):
+        if required not in values:
+            raise ValueError(f"config is missing {required!r}")
+    spec = {_SPEC_FIELDS[k]: v for k, v in values.items() if k in _SPEC_FIELDS}
+    rest = {k: v for k, v in values.items() if k not in _SPEC_FIELDS}
+    return ExperimentConfig(predicate=PredicateSpec(**spec), **rest)
 
-    >>> parse_fraction("2/12")
-    Fraction(1, 6)
-    >>> parse_fraction("1/0")
-    Traceback (most recent call last):
-        ...
-    ValueError: zero denominator in '1/0'
-    """
-    if "e" in text.lower():
-        # Fraction would expand a mantissa-exponent form such as 1e-100000000
-        # digit by digit before any range check could refuse it
-        raise ValueError(f"exponent notation is not accepted: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+
+def config_values(text: str) -> dict[str, object]:
+    """The parsed value of each key set in a config file; the last line of a
+    repeated key wins."""
+    texts: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip().lower()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        texts[key] = val.strip()
+    return {key: CONFIG_PARSERS[key](val) for key, val in texts.items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -427,37 +428,4 @@ def parse_config(text: str) -> ExperimentConfig:
         trials = 500
         seed = 7
     """
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = val.strip()
-    for required in ("n", "m", "lengths", "predicate"):
-        if required not in values:
-            raise ValueError(f"config is missing {required!r}")
-    spec = PredicateSpec(
-        name=values["predicate"],
-        lam=parse_fraction(values["lambda"]) if "lambda" in values else None,
-        k=int(values["k"]) if "k" in values else None,
-        box=int(values.get("box", 8)),
-    )
-    return ExperimentConfig(
-        n=int(values["n"]),
-        m=int(values["m"]),
-        lengths=tuple(int(x) for x in values["lengths"].split(",") if x.strip()),
-        predicate=spec,
-        mode=values.get("mode", "monte-carlo"),
-        trials=int(values.get("trials", 100)),
-        seed=int(values.get("seed", 0)),
-        workers=int(values.get("workers", 1)),
-        budget=int(values.get("budget", 1_000_000)),
-        timing=values.get("timing", "false").lower() in ("1", "true", "yes"),
-        out=values.get("out"),
-    )
+    return build_config(config_values(text))

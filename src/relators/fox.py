@@ -47,12 +47,34 @@ Terms = dict[tuple[int, ...], int | Fraction]
 _SMALL_FRACTIONS = {c: Fraction(c) for c in range(-16, 17) if c}
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational such as ``1/6`` or ``0.5``; exponent notation and a
+    zero denominator are ValueErrors like any other malformed number.
+
+    >>> parse_fraction("2/12")
+    Fraction(1, 6)
+    >>> parse_fraction("1/0")
+    Traceback (most recent call last):
+        ...
+    ValueError: zero denominator in '1/0'
+    """
+    if "e" in text.lower():
+        # Fraction would expand a mantissa-exponent form such as 1e-100000000
+        # digit by digit before any range check could refuse it
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _coeff(c) -> int | Fraction:
     """An exact coefficient in kernel form; floats are refused, since a
-    binary float is not the rational it was meant to be."""
+    binary float is not the rational it was meant to be, and text goes
+    through `parse_fraction`."""
     if isinstance(c, float):
         raise TypeError(f"group-ring coefficients must be exact, not float: {c!r}")
-    c = Fraction(c)
+    c = parse_fraction(c) if isinstance(c, str) else Fraction(c)
     return int(c.numerator) if c.denominator == 1 else c
 
 
@@ -332,10 +354,7 @@ def parse_ring_element(text: str, rank: int) -> GroupRingElement:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"bad group-ring term: {chunk!r}")
-        try:
-            coeff = Fraction(m.group("coeff") or 1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {chunk.strip()!r}") from None
+        coeff = parse_fraction(m.group("coeff") or "1")
         body = m.group("word").strip()
         letters = parse_letters(body) if body else ()
         items.append((Word(letters, rank), coeff))

@@ -225,9 +225,11 @@ class Substitution:
     >>> s = Substitution([Word((1, 2), 2), Word((-2, 1), 2)])
     >>> substitute(s, Word((1, 2), 2))
     Word('x1 x1', rank=2)
+    >>> s.raw_image(Word((1, -2), 2))
+    [1, 2, -1, 2]
     """
 
-    __slots__ = ("images", "target_rank")
+    __slots__ = ("images", "target_rank", "_letter_images")
 
     def __init__(self, images: Sequence[Word]):
         images = tuple(images)
@@ -236,8 +238,14 @@ class Substitution:
         ranks = {w.rank for w in images}
         if len(ranks) != 1:
             raise ValueError("generator images have mixed target ranks")
+        # letter g -> the letters of images[g - 1], letter -g -> its inverse's
+        letter_images = {}
+        for g, w in enumerate(images, start=1):
+            letter_images[g] = w.letters
+            letter_images[-g] = tuple(-a for a in reversed(w.letters))
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "target_rank", images[0].rank)
+        object.__setattr__(self, "_letter_images", letter_images)
 
     def __setattr__(self, name, value):
         raise AttributeError("Substitution is immutable")
@@ -247,8 +255,20 @@ class Substitution:
         return len(self.images)
 
     def image_of_letter(self, a: int) -> Word:
-        w = self.images[abs(a) - 1]
-        return w if a > 0 else w.inverse()
+        return _trusted_word(self._letter_images[a], self.target_rank)
+
+    def raw_image(self, w: Word | CyclicWord) -> list[int]:
+        """The letters of the images of w's letters, concatenated without
+        free reduction."""
+        if w.rank > self.source_rank:
+            raise ValueError(
+                f"word over rank {w.rank} but substitution has {self.source_rank} images"
+            )
+        images = self._letter_images
+        out: list[int] = []
+        for a in w.letters:
+            out.extend(images[a])
+        return out
 
 
 class Presentation:
@@ -334,14 +354,7 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
 
 def substitute(s: Substitution, w: Word) -> Word:
     """Apply a substitution homomorphism and freely reduce the image."""
-    if w.rank > s.source_rank:
-        raise ValueError(
-            f"word over rank {w.rank} but substitution has {s.source_rank} images"
-        )
-    out: list[int] = []
-    for a in w.letters:
-        out.extend(s.image_of_letter(a).letters)
-    return reduce(out, s.target_rank)
+    return _trusted_word(reduce_letters(s.raw_image(w)), s.target_rank)
 
 
 def _letters_in_order(rank: int) -> list[int]:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from relators.cli import main, to_jsonable
+from relators.experiment import run_experiment
 from relators.words import parse_cyclic_word, parse_word
 
 
@@ -320,3 +321,99 @@ def test_exponent_notation_in_config_exits_2(capsys, tmp_path):
         "error": "ValueError",
         "message": "exponent notation is not accepted: '1e-1000000'",
     }
+
+
+# sha256 (first 16 hex digits) of `relators experiment` and `tau-count` stdout
+_PREDICATE_ARGS = {
+    "c-prime": ["--predicate", "c-prime", "--lambda", "1/3"],
+    "b1": ["--predicate", "b1"],
+    "min-condition": ["--predicate", "min-condition", "--box", "3"],
+    "slope-classes": ["--predicate", "slope-classes", "--k", "2", "--box", "3"],
+    "certificate": ["--predicate", "certificate", "--k", "2", "--box", "3"],
+}
+_MONTE_CARLO = ["experiment", "--n", "3", "--m", "1", "--lengths", "6,10", "--trials", "20", "--seed", "5"]
+EXPERIMENT_GOLDEN = [
+    (_MONTE_CARLO + _PREDICATE_ARGS["c-prime"], "bab1c53f994c49a2"),
+    (_MONTE_CARLO + _PREDICATE_ARGS["b1"], "65b142821d130677"),
+    (_MONTE_CARLO + _PREDICATE_ARGS["min-condition"], "2bf7be9bbee32338"),
+    (_MONTE_CARLO + _PREDICATE_ARGS["slope-classes"], "a0341d0a8b93e0fe"),
+    (_MONTE_CARLO + _PREDICATE_ARGS["certificate"], "142edd6fb140a4dc"),
+    (["experiment", "--n", "2", "--m", "1", "--lengths", "3,4", "--mode", "exhaustive"]
+     + _PREDICATE_ARGS["c-prime"], "4c478797c21ad6ef"),
+    (["experiment", "--n", "2", "--m", "2", "--lengths", "3,4", "--mode", "exhaustive"]
+     + _PREDICATE_ARGS["b1"], "8ba22976171d5ec7"),
+    (["experiment", "--n", "2", "--m", "1", "--lengths", "3,4", "--mode", "exhaustive"]
+     + _PREDICATE_ARGS["min-condition"], "7a23038f5681f1ae"),
+    (["experiment", "--n", "2", "--m", "1", "--lengths", "3,4", "--mode", "exhaustive"]
+     + _PREDICATE_ARGS["slope-classes"], "d1814b9b3c5d455e"),
+    (["experiment", "--n", "2", "--m", "1", "--lengths", "3,4", "--mode", "exhaustive"]
+     + _PREDICATE_ARGS["certificate"], "bfcb2c106502cf99"),
+    (["tau-count", "--n", "2", "--l", "5"], "40b40a1ae253ed78"),
+    (["tau-count", "--n", "3", "--l", "3"], "f7de49bedd3ca0d3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", EXPERIMENT_GOLDEN, ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_experiment_stdout_golden(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def _capture_config(monkeypatch):
+    """Record each ExperimentConfig the CLI builds, then run it as usual."""
+    seen = []
+
+    def run(cfg):
+        seen.append(cfg)
+        return run_experiment(cfg)
+
+    monkeypatch.setattr("relators.cli.run_experiment", run)
+    return seen
+
+
+def test_experiment_flags_override_config_keys(capsys, monkeypatch, tmp_path):
+    seen = _capture_config(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "predicate = c-prime\nlambda = 1/6\nn = 2\nm = 1\n"
+        "lengths = 12\ntrials = 20\nseed = 1\n"
+    )
+    code, out = run_cli(
+        capsys, "experiment", "--config", str(cfg),
+        "--trials", "5", "--lengths", "4,6", "--lambda", "1/3", "--timing",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["l"], r["trials"], r["predicate"]) for r in rows] == [
+        ("4", "5", "c-prime:1/3"), ("6", "5", "c-prime:1/3"),
+    ]
+    assert seen[-1].timing is True
+
+    cfg.write_text("predicate = min-condition\nn = 2\nm = 1\nlengths = 3\ntrials = 20\n")
+    code, out = run_cli(
+        capsys, "experiment", "--config", str(cfg), "--mode", "exhaustive", "--box", "3",
+    )
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert (row["mode"], row["trials"], row["predicate"]) == (
+        "exhaustive", "28", "min-condition:box=3",
+    )
+
+
+def test_experiment_config_file_and_flags_build_equal_configs(capsys, monkeypatch, tmp_path):
+    seen = _capture_config(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "predicate = certificate\nn = 2\nm = 1\nlengths = 3, 4\nk = 2\nbox = 3\n"
+        "mode = exhaustive\nbudget = 500\nseed = 4\nworkers = 1\ntiming = yes\n"
+        f"out = {tmp_path / 'a.csv'}\n"
+    )
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert main([
+        "experiment", "--predicate", "certificate", "--n", "2", "--m", "1",
+        "--lengths", "3,4", "--k", "2", "--box", "3", "--mode", "exhaustive",
+        "--budget", "500", "--seed", "4", "--workers", "1", "--timing",
+        "--out", str(tmp_path / "a.csv"),
+    ]) == 0
+    assert len(seen) == 2 and seen[0] == seen[1]

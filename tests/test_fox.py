@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -236,6 +237,26 @@ def test_float_coefficients_are_refused():
         with pytest.raises(TypeError):
             e.scale(bad)
     assert e.scale(Fraction(1, 2)) == GroupRingElement.from_word(w, Fraction(3, 2))
+
+
+def test_text_coefficients_refuse_exponent_notation_fast():
+    # Fraction itself expands these digit by digit: '1e-3000000' took 1.8 s
+    w = Word((1,), 2)
+    e = GroupRingElement.from_word(w, "3/2")
+    assert e == GroupRingElement.from_word(w, Fraction(3, 2))
+    for text in ("1e-1000000", "1E-3000000", "-2.5e7"):
+        for build in (
+            lambda: GroupRingElement.from_word(w, text),
+            lambda: GroupRingElement.from_letters((1,), 2, text),
+            lambda: GroupRingElement([(w, text)], 2),
+            lambda: e.scale(text),
+        ):
+            t0 = time.process_time()
+            with pytest.raises(ValueError, match="exponent notation"):
+                build()
+            assert time.process_time() - t0 < 0.01
+    with pytest.raises(ValueError, match="zero denominator"):
+        e.scale("1/0")
 
 
 # -- public views against a plain dict[Word, Fraction] oracle -----------------
