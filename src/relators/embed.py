@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Optional
 
 from .abelian import Slope
 from .mincond import (
@@ -142,16 +143,6 @@ def _target_slope(m: int) -> Slope:
     return Slope((0,) * m + (-1,))
 
 
-def _raw_psi_min(raw: Sequence[int], psi: Slope) -> int:
-    h = 0
-    lo = 0
-    for a in raw:
-        h += psi.of_letter(a)
-        if h < lo:
-            lo = h
-    return lo
-
-
 def embed_presentation(
     p: Presentation,
     phi: Slope,
@@ -219,7 +210,8 @@ def embed_presentation(
             target.append(base)
             stats_raw.append(len(raw))
             stats_cancel.append((len(raw) - len(base)) // 2)
-            if _raw_psi_min(raw, psi) != phi_min[i] - big_n * (big_n + 1) // 2:
+            psi_min = min(accumulate(map(psi.of_letter, raw), initial=0))
+            if psi_min != phi_min[i] - big_n * (big_n + 1) // 2:
                 ok_profile = False
         if not ok_profile:
             continue

@@ -17,6 +17,7 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .abelian import (
-    Slope,
     count_slope_classes,
     enumerate_kernel_slopes,
     enumerate_valid_slopes,
@@ -34,7 +34,6 @@ from .abelian import (
 )
 from .fox import parse_fraction
 from .mincond import MinConditionWitness, _tau_insert, check_minimum_condition
-from .novikov import injectivity_certificate
 from .smallcanc import check_small_cancellation
 from .words import (
     CyclicWord,
@@ -49,8 +48,11 @@ CSV_HEADER = (
     "estimate_num,estimate_den_or_point,ci_lo,ci_hi,seed,wall_ms"
 )
 
-PREDICATES = ("c-prime", "b1", "min-condition", "slope-classes", "certificate")
+PREDICATES = ("c-prime", "b1", "min-condition", "slope-classes")
 MODES = ("monte-carlo", "exhaustive")
+
+# trials per task sent to a worker process
+_CHUNK = 16
 
 # 97.5% normal quantile, fixed to keep output byte-stable across platforms
 _WILSON_Z = 1.959963984540054
@@ -60,10 +62,10 @@ _WILSON_Z = 1.959963984540054
 class PredicateSpec:
     """Which tuple property a run estimates.
 
-    name: c-prime | b1 | min-condition | slope-classes | certificate
+    name: c-prime | b1 | min-condition | slope-classes
     lam:  the C'(lambda) threshold (c-prime only)
-    k:    class count / truncation order (slope-classes, certificate)
-    box:  slope search box (min-condition, slope-classes, certificate)
+    k:    class count (slope-classes)
+    box:  slope search box (min-condition, slope-classes)
     """
 
     name: str
@@ -80,8 +82,6 @@ class PredicateSpec:
             return f"min-condition:box={self.box}"
         if self.name == "slope-classes":
             return f"slope-classes:k={self.k},box={self.box}"
-        if self.name == "certificate":
-            return f"certificate:k={self.k},box={self.box}"
         raise ValueError(f"unknown predicate {self.name}")
 
     def validate(self, n: int, m: int) -> None:
@@ -90,13 +90,11 @@ class PredicateSpec:
                 raise ValueError("c-prime needs 0 < lambda <= 1")
         elif self.name == "b1":
             pass
-        elif self.name in ("min-condition", "certificate"):
+        elif self.name == "min-condition":
             if m >= n:
-                raise ValueError(f"{self.name} needs m < n")
+                raise ValueError("min-condition needs m < n")
             if self.box < 1:
                 raise ValueError("box must be >= 1")
-            if self.name == "certificate" and (self.k is None or self.k < 1):
-                raise ValueError("certificate needs truncation order k >= 1")
         elif self.name == "slope-classes":
             if self.k is None or self.k < 1 or self.box < 1:
                 raise ValueError("slope-classes needs k >= 1 and box >= 1")
@@ -205,17 +203,6 @@ def sample_tuple(
     return tuple(sample_cyclically_reduced(n, length, rng) for _ in range(m))
 
 
-def _first_mincond_slope(
-    p: Presentation, relators: tuple[CyclicWord, ...], box: int
-) -> Optional[Slope]:
-    """The first primitive kernel slope in the box that passes the minimum
-    condition, or None."""
-    for phi in enumerate_kernel_slopes(p, box, primitive_only=True):
-        if isinstance(check_minimum_condition(relators, phi), MinConditionWitness):
-            return phi
-    return None
-
-
 def evaluate_predicate(
     spec: PredicateSpec, n: int, relators: Sequence[CyclicWord]
 ) -> bool:
@@ -227,19 +214,16 @@ def evaluate_predicate(
     if spec.name == "b1":
         return first_betti_number(p) == max(n - m, 0)
     if spec.name == "min-condition":
-        return _first_mincond_slope(p, relators, spec.box) is not None
+        return any(
+            isinstance(check_minimum_condition(relators, phi), MinConditionWitness)
+            for phi in enumerate_kernel_slopes(p, spec.box, primitive_only=True)
+        )
     if spec.name == "slope-classes":
         slopes = enumerate_valid_slopes(p, spec.box)
         if not slopes:
             return False
         count, _ = count_slope_classes(p, slopes)
         return count >= spec.k
-    if spec.name == "certificate":
-        phi = _first_mincond_slope(p, relators, spec.box)
-        if phi is None:
-            return False
-        cert = injectivity_certificate(p, phi, spec.k)
-        return cert.error_min_degree is None or cert.error_min_degree >= spec.k
     raise ValueError(f"unknown predicate {spec.name}")
 
 
@@ -278,9 +262,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
             tasks = [
                 (cfg.predicate, cfg.n, cfg.m, length, cfg.seed, t) for t in range(trials)
             ]
-            if cfg.workers > 1:
-                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                    outcomes = list(pool.map(_run_trial, tasks, chunksize=16))
+            # a fork pool starts every worker at once: start no more than
+            # there are chunks of trials or CPUs
+            workers = min(cfg.workers, -(-trials // _CHUNK), os.cpu_count() or 1)
+            if workers > 1:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    outcomes = list(pool.map(_run_trial, tasks, chunksize=_CHUNK))
             else:
                 outcomes = [_run_trial(t) for t in tasks]
             successes = sum(outcomes)

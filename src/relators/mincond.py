@@ -10,8 +10,12 @@ single vertex whose two flanking edges carry one designated "column"
 generator (the relator's i-role) and one shared "vertical" generator (the
 n-role), or a single flat i-role edge flanked on both sides by the n-role
 generator; the i-roles must be distinct across relators and distinct from
-the n-role.  `check_minimum_condition` decides this by per-relator admissible
-role pairs plus a bipartite matching over candidate n-roles.
+the n-role.  The roles are forced: a lone vertex flanked by x_a and x_b
+admits only (i, n) = (a, b) or (b, a), and a lone flat x_g edge flanked by
+x_h admits only (g, h).  So once the n-role is fixed every relator has at
+most one possible i-role, and no matching is needed:
+`check_minimum_condition` tries the n-roles in ascending order and accepts
+the first whose forced i-roles exist and are pairwise distinct.
 
 `standardize` renames/inverts generators so the witness becomes the identity
 one (i-role of relator k is x_k, n-role is x_n, phi nonneg on x_1..x_{n-1}
@@ -111,8 +115,8 @@ class MinConditionWitness:
 
 @dataclass(frozen=True)
 class MinConditionFailure:
-    """Structured failure: which relator broke (None: the matching stage)
-    and why."""
+    """Structured failure: which relator broke (None: every section is
+    lone, but no n-role forces distinct i-roles on all relators) and why."""
 
     relator: Optional[int]
     reason: str  # multi-component | section-not-lone | same-flank | no-assignment
@@ -123,8 +127,8 @@ class MinConditionFailure:
 
 
 def _section_shape(r: CyclicWord, phi: Slope):
-    """Classify one relator: ('vertex'|'edge', admissible (i,n) generator
-    pairs) or a MinConditionFailure-shaped (reason, detail) tuple."""
+    """Classify one relator: ('vertex'|'edge', {n-role: forced i-role}) or
+    a MinConditionFailure-shaped (reason, detail) tuple."""
     ls = lower_section(r, phi)
     l = len(r)
     nv, ne = len(ls.min_vertices), len(ls.flat_min_edges)
@@ -138,7 +142,7 @@ def _section_shape(r: CyclicWord, phi: Slope):
             # impossible at a strict minimum of a reduced word; kept as a
             # defensive failure rather than an assert on untrusted input
             return None, ("same-flank", f"vertex {v} flanked twice by x{a}")
-        return "vertex", {(a, b), (b, a)}
+        return "vertex", {b: a, a: b}
     if nv == 2 and ne == 1:
         e = next(iter(ls.flat_min_edges))
         g = abs(r.cyclic_letter(e))
@@ -148,31 +152,8 @@ def _section_shape(r: CyclicWord, phi: Slope):
             return None, ("section-not-lone", f"edge {e} flanks x{h1} vs x{h2}")
         if h1 == g:
             return None, ("same-flank", f"edge {e} and flanks all on x{g}")
-        return "edge", {(g, h1)}
+        return "edge", {h1: g}
     return None, ("section-not-lone", f"{nv} vertices, {ne} flat edges")
-
-
-def _bipartite_match(candidates: list[list[int]]) -> Optional[list[int]]:
-    """Match every row to a distinct value via augmenting paths; candidates
-    lists are tried in order, so the result is deterministic."""
-    owner: dict[int, int] = {}
-    assign: list[Optional[int]] = [None] * len(candidates)
-
-    def try_row(row: int, seen: set[int]) -> bool:
-        for v in candidates[row]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in owner or try_row(owner[v], seen):
-                owner[v] = row
-                assign[row] = v
-                return True
-        return False
-
-    for row in range(len(candidates)):
-        if not try_row(row, set()):
-            return None
-    return assign  # type: ignore[return-value]
 
 
 def _validated_shapes(relators: Sequence[CyclicWord], phi: Slope):
@@ -192,7 +173,7 @@ def _validated_shapes(relators: Sequence[CyclicWord], phi: Slope):
         if phi.of_word(r) != 0:
             raise ValueError(f"slope does not annihilate relator {idx}")
 
-    shapes: list[tuple[str, set[tuple[int, int]]]] = []
+    shapes: list[tuple[str, dict[int, int]]] = []
     for idx, r in enumerate(relators):
         tag, info = _section_shape(r, phi)
         if tag is None:
@@ -226,24 +207,17 @@ def check_minimum_condition(
     shapes = _validated_shapes(relators, phi)
     if isinstance(shapes, MinConditionFailure):
         return shapes
-    n = relators[0].rank
-
-    for g in range(1, n + 1):
-        candidates = [
-            sorted(a for (a, b) in pairs if b == g and a != g)
-            for (_, pairs) in shapes
-        ]
-        if any(not c for c in candidates):
-            continue
-        assign = _bipartite_match(candidates)
-        if assign is None:
+    for g in range(1, relators[0].rank + 1):
+        i_roles = tuple(forced.get(g) for _, forced in shapes)
+        if None in i_roles or len(set(i_roles)) < len(i_roles):
             continue
         return MinConditionWitness(
             n_role=g,
-            i_roles=tuple(assign),
+            i_roles=i_roles,
             case_tags=tuple(tag for tag, _ in shapes),
             inversion_signs=_inversion_signs(phi, g),
         )
+    # the detail text is part of the CLI's JSON output; kept byte-stable
     return MinConditionFailure(None, "no-assignment", "no n-role admits a matching")
 
 
@@ -263,8 +237,8 @@ def standard_witness(
     if isinstance(shapes, MinConditionFailure):
         return shapes
     n = relators[0].rank
-    for i, (_, pairs) in enumerate(shapes):
-        if (i + 1, n) not in pairs:
+    for i, (_, forced) in enumerate(shapes):
+        if forced.get(n) != i + 1:
             return MinConditionFailure(
                 i, "no-assignment", f"identity roles (x{i + 1}, x{n}) not admissible"
             )
@@ -330,16 +304,13 @@ def standardize(
     if len(old_order) != n or len(set(old_order)) != n:
         raise ValueError("witness roles are not an injective assignment")
 
+    signs = _inversion_signs(phi, witness.n_role)
     images = [0] * n
     new_values = [0] * n
     for new, old in enumerate(old_order, start=1):
-        v = phi.of_generator(old)
-        if new == n:
-            s = -1 if v > 0 else 1
-        else:
-            s = -1 if v < 0 else 1
+        s = signs[old - 1]
         images[old - 1] = s * new
-        new_values[new - 1] = s * v
+        new_values[new - 1] = s * phi.of_generator(old)
     relab = Relabeling(tuple(images), n)
     new_relators = tuple(relab.apply_cyclic(r) for r in relators)
     new_phi = Slope(new_values)

@@ -136,6 +136,45 @@ def test_certify_stdout_golden(capsys, tmp_path, phi, relators, digests):
     assert tuple(got) == digests
 
 
+# a C'(1/7) relator of length 86 > 12 + 72/epsilon at epsilon = 1; its slope
+# (-3, -1, 0) is zero on x3, and its lower section is one flat x3 edge
+_EMBED_SOURCE = (
+    "X1 X3 X3 X1 X2 X3 X2 X3 x1 X3 x1 x3 x2 X3 X1 x2 x3 x3 x3 X2 x3 X1 x2 X1 "
+    "X3 X2 x1 x1 x2 X3 x1 X2 x1 X2 x3 x3 X2 x3 X2 X3 X2 X1 X2 x1 x1 x2 x3 X1 "
+    "X2 x3 x2 x3 x3 X2 X3 x2 X3 X3 X2 X3 X1 X2 x1 X2 X3 X1 X2 X3 X3 X3 x1 x2 "
+    "X3 x2 x2 x1 x1 x3 X2 x1 X2 x1 x3 X1 X1 X2"
+)
+# sha256 (first 16 hex digits) and exit status of `relators mincond`, `tau`,
+# `slopes` and `embed` stdout on fixed relator files
+SUBCOMMAND_GOLDEN = [
+    (["mincond", "--phi", "0,-1"], "x2 x1 X2 X1", 0, "133dcaf4933f81f7"),
+    (["mincond", "--phi", "1,0,-1"], "x3 x1", 0, "812a6ad93244f88f"),
+    (["mincond", "--phi", "0,0,-1"], "x3 x1 X3 X1\nx3 x2 X3 X2", 0, "f83905ffc2807d6e"),
+    (["mincond", "--phi", "1,-1"], "x1 x2 X1 X2 x1 x2 X1 X2", 1, "390a858b5c9bebd0"),
+    (["mincond", "--phi", "0,-1"], "x1 x1 x2 X1 X1 X2", 1, "49770ff5e4aa354a"),
+    (["mincond", "--phi", "0,0,-1"], "x3 x1 X3 X1\nx1 x3 X1 X3", 1, "661d2d9c37a40e96"),
+    (["tau", "--rank", "2"], "x1 x2 x1 X2", 0, "8edb33c4e667022d"),
+    (["tau", "--rank", "3"], "x1 x2 x3 X2\nx2 x2 X3 x1", 0, "27a3adbba5ffb12e"),
+    (["slopes", "--box", "2"], "x1 x2", 0, "e3e3f9883c049506"),
+    (["slopes", "--box", "2"], "x3 x1 X3 X1", 0, "4cc876ba1437a06b"),
+    (["embed", "--phi=-3,-1,0", "--guarantee-c16", "--epsilon", "1"], _EMBED_SOURCE, 0, "517f5b6aeec30d9d"),
+]
+_SUBCOMMAND_IDS = [
+    "mincond-edge", "mincond-vertex", "mincond-two-relators", "mincond-multi-component",
+    "mincond-section-not-lone", "mincond-no-assignment", "tau-n2", "tau-n3",
+    "slopes-n2", "slopes-n3", "embed-c16",
+]
+
+
+@pytest.mark.parametrize("argv,relators,status,digest", SUBCOMMAND_GOLDEN, ids=_SUBCOMMAND_IDS)
+def test_subcommand_stdout_golden(capsys, tmp_path, argv, relators, status, digest):
+    f = tmp_path / "rel.txt"
+    f.write_text(relators + "\n")
+    code, out = run_cli(capsys, *argv, str(f))
+    assert code == status
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_embed_json(capsys, tmp_path):
     f = tmp_path / "rel.txt"
     f.write_text("x3 x1 X3 X1\n")
@@ -329,7 +368,6 @@ _PREDICATE_ARGS = {
     "b1": ["--predicate", "b1"],
     "min-condition": ["--predicate", "min-condition", "--box", "3"],
     "slope-classes": ["--predicate", "slope-classes", "--k", "2", "--box", "3"],
-    "certificate": ["--predicate", "certificate", "--k", "2", "--box", "3"],
 }
 _MONTE_CARLO = ["experiment", "--n", "3", "--m", "1", "--lengths", "6,10", "--trials", "20", "--seed", "5"]
 EXPERIMENT_GOLDEN = [
@@ -337,7 +375,6 @@ EXPERIMENT_GOLDEN = [
     (_MONTE_CARLO + _PREDICATE_ARGS["b1"], "65b142821d130677"),
     (_MONTE_CARLO + _PREDICATE_ARGS["min-condition"], "2bf7be9bbee32338"),
     (_MONTE_CARLO + _PREDICATE_ARGS["slope-classes"], "a0341d0a8b93e0fe"),
-    (_MONTE_CARLO + _PREDICATE_ARGS["certificate"], "142edd6fb140a4dc"),
     (["experiment", "--n", "2", "--m", "1", "--lengths", "3,4", "--mode", "exhaustive"]
      + _PREDICATE_ARGS["c-prime"], "4c478797c21ad6ef"),
     (["experiment", "--n", "2", "--m", "2", "--lengths", "3,4", "--mode", "exhaustive"]
@@ -346,8 +383,6 @@ EXPERIMENT_GOLDEN = [
      + _PREDICATE_ARGS["min-condition"], "7a23038f5681f1ae"),
     (["experiment", "--n", "2", "--m", "1", "--lengths", "3,4", "--mode", "exhaustive"]
      + _PREDICATE_ARGS["slope-classes"], "d1814b9b3c5d455e"),
-    (["experiment", "--n", "2", "--m", "1", "--lengths", "3,4", "--mode", "exhaustive"]
-     + _PREDICATE_ARGS["certificate"], "bfcb2c106502cf99"),
     (["tau-count", "--n", "2", "--l", "5"], "40b40a1ae253ed78"),
     (["tau-count", "--n", "3", "--l", "3"], "f7de49bedd3ca0d3"),
 ]
@@ -405,15 +440,31 @@ def test_experiment_config_file_and_flags_build_equal_configs(capsys, monkeypatc
     seen = _capture_config(monkeypatch)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "predicate = certificate\nn = 2\nm = 1\nlengths = 3, 4\nk = 2\nbox = 3\n"
+        "predicate = slope-classes\nn = 2\nm = 1\nlengths = 3, 4\nk = 2\nbox = 3\n"
         "mode = exhaustive\nbudget = 500\nseed = 4\nworkers = 1\ntiming = yes\n"
         f"out = {tmp_path / 'a.csv'}\n"
     )
     assert main(["experiment", "--config", str(cfg)]) == 0
     assert main([
-        "experiment", "--predicate", "certificate", "--n", "2", "--m", "1",
+        "experiment", "--predicate", "slope-classes", "--n", "2", "--m", "1",
         "--lengths", "3,4", "--k", "2", "--box", "3", "--mode", "exhaustive",
         "--budget", "500", "--seed", "4", "--workers", "1", "--timing",
         "--out", str(tmp_path / "a.csv"),
     ]) == 0
     assert len(seen) == 2 and seen[0] == seen[1]
+
+
+def test_certificate_predicate_is_refused(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "experiment", "--n", "2", "--m", "1", "--lengths", "3",
+            "--predicate", "certificate", "--k", "2",
+        ])
+    assert exc.value.code == 2
+    assert "invalid choice: 'certificate'" in capsys.readouterr().err
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("predicate = certificate\nn = 2\nm = 1\nlengths = 3\nk = 2\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": "unknown predicate certificate"}

@@ -120,13 +120,6 @@ def test_evaluate_predicate_slope_classes():
     )
 
 
-def test_evaluate_predicate_certificate():
-    commutator = (parse_cyclic_word("x1 x2 X1 X2", 2),)
-    assert evaluate_predicate(PredicateSpec("certificate", k=2, box=2), 2, commutator)
-    doubled = (parse_cyclic_word("x1 x2 X1 X2 x1 x2 X1 X2", 2),)
-    assert not evaluate_predicate(PredicateSpec("certificate", k=2, box=2), 2, doubled)
-
-
 def test_predicate_validation():
     with pytest.raises(ValueError):
         PredicateSpec("c-prime").validate(2, 1)
@@ -135,7 +128,7 @@ def test_predicate_validation():
     with pytest.raises(ValueError):
         PredicateSpec("min-condition").validate(2, 2)  # m >= n
     with pytest.raises(ValueError):
-        PredicateSpec("certificate", box=2).validate(2, 1)  # k missing
+        PredicateSpec("slope-classes", box=2).validate(2, 1)  # k missing
     with pytest.raises(ValueError):
         PredicateSpec("slope-classes", k=0, box=2).validate(2, 1)
     with pytest.raises(ValueError):
@@ -219,6 +212,41 @@ def test_csv_identical_across_worker_counts():
         return rows_to_csv(run_experiment(cfg))
 
     assert csv_for(1).encode() == csv_for(8).encode()
+
+
+@pytest.mark.parametrize("trials,cpus,pool", [(40, 8, 3), (200, 2, 2), (16, 8, None)])
+def test_worker_pool_is_capped(monkeypatch, trials, cpus, pool):
+    # ceil(trials / 16) chunks and the CPU count bound the pool; one worker
+    # runs in this process
+    requests = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            requests.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr("relators.experiment.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+
+    def csv_for(workers):
+        cfg = ExperimentConfig(
+            n=2, m=1, lengths=(8,), predicate=PredicateSpec("b1"),
+            trials=trials, seed=3, workers=workers,
+        )
+        return rows_to_csv(run_experiment(cfg))
+
+    assert csv_for(10_000) == csv_for(1)
+    assert requests == ([] if pool is None else [pool])
 
 
 def test_csv_shape():

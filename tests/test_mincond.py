@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relators.abelian import Slope, enumerate_kernel_slopes, enumerate_valid_slopes
 from relators.mincond import (
@@ -211,6 +212,121 @@ def test_check_validations():
         )
     with pytest.raises(ValueError):
         check_minimum_condition((cw("x1 x2", 2),), Slope((1, 1)))
+
+
+# -- brute-force oracle: the definition in the module docstring ---------------
+
+
+def oracle_section(letters, values):
+    """Plain prefix-sum heights; the minimal vertices and the flat edges
+    between two of them."""
+    heights = [0]
+    for a in letters[:-1]:
+        heights.append(heights[-1] + (values[a - 1] if a > 0 else -values[-a - 1]))
+    low = min(heights)
+    l = len(letters)
+    verts = {k for k in range(l) if heights[k] == low}
+    return verts, {k for k in verts if (k + 1) % l in verts}
+
+
+def oracle_admits(letters, values, i, g):
+    """Relator admits i-role x_i under n-role x_g: a lone vertex flanked by
+    one x_i edge and one x_g edge, or a lone flat x_i edge with x_g on both
+    sides."""
+    if i == g:
+        return False
+    verts, edges = oracle_section(letters, values)
+    l = len(letters)
+    if len(verts) == 1 and not edges:
+        (v,) = verts
+        return sorted((abs(letters[v - 1]), abs(letters[v]))) == sorted((i, g))
+    if len(verts) == 2 and len(edges) == 1:
+        (e,) = edges
+        return abs(letters[e]) == i and abs(letters[e - 1]) == abs(letters[(e + 1) % l]) == g
+    return False
+
+
+def oracle_witnesses(relators, values):
+    """Every admissible (n-role, i-roles), n-roles ascending."""
+    n = len(values)
+    for g in range(1, n + 1):
+        others = [x for x in range(1, n + 1) if x != g]
+        for roles in itertools.permutations(others, len(relators)):
+            if all(oracle_admits(r.letters, values, i, g) for r, i in zip(relators, roles)):
+                yield g, roles
+
+
+@st.composite
+def oracle_relator(draw, n):
+    """A cyclically reduced word: a fresh word, a proper power or a
+    commutator of two generators."""
+    alphabet = [a for a in range(-n, n + 1) if a]
+    kind = draw(st.sampled_from(["fresh", "power", "commutator"]))
+    if kind == "commutator":
+        a, b = draw(st.permutations(range(1, n + 1)))[:2]
+        a *= draw(st.sampled_from([1, -1]))
+        b *= draw(st.sampled_from([1, -1]))
+        return CyclicWord((a, b, -a, -b), n)
+    length = draw(st.integers(1, 7 if kind == "fresh" else 4))
+    letters = [draw(st.sampled_from(alphabet))]
+    while len(letters) < length:
+        last = len(letters) == length - 1
+        options = [a for a in alphabet if a != -letters[-1] and not (last and a == -letters[0])]
+        letters.append(draw(st.sampled_from(options)))
+    power = 1 if kind == "fresh" else draw(st.integers(2, 3))
+    return CyclicWord(letters * power, n)
+
+
+@st.composite
+def oracle_cases(draw):
+    """n = 2..5, m < n relators, and a kernel slope with entries in
+    [-2, 2] that is forced to zero on a drawn set of generators (the zero
+    slope only when no other qualifies)."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, n - 1))
+    relators = tuple(draw(oracle_relator(n)) for _ in range(m))
+    zero = draw(st.sets(st.integers(1, n), max_size=n - 1))
+    sums = [[r.exponent_sum(g) for g in range(1, n + 1)] for r in relators]
+    kernel = [
+        v
+        for v in itertools.product(range(-2, 3), repeat=n)
+        if all(v[g - 1] == 0 for g in zero)
+        and all(sum(e * x for e, x in zip(row, v)) == 0 for row in sums)
+    ]
+    nonzero = [v for v in kernel if any(v)]
+    return relators, Slope(draw(st.sampled_from(nonzero or kernel)))
+
+
+@given(oracle_cases())
+@settings(max_examples=400, deadline=None)
+def test_check_agrees_with_brute_force_oracle(case):
+    relators, phi = case
+    witnesses = list(oracle_witnesses(relators, phi.values))
+    res = check_minimum_condition(relators, phi)
+    assert isinstance(res, MinConditionWitness) == bool(witnesses)
+    if witnesses:
+        assert res.n_role == witnesses[0][0]
+        assert (res.n_role, res.i_roles) in witnesses
+        tags = tuple(
+            "vertex" if len(oracle_section(r.letters, phi.values)[0]) == 1 else "edge"
+            for r in relators
+        )
+        assert res.case_tags == tags
+
+
+@given(oracle_cases())
+@settings(max_examples=400, deadline=None)
+def test_standard_witness_agrees_with_brute_force_oracle(case):
+    relators, phi = case
+    n, m = len(phi), len(relators)
+    identity = tuple(range(1, m + 1))
+    admitted = all(
+        oracle_admits(r.letters, phi.values, i, n) for r, i in zip(relators, identity)
+    )
+    res = standard_witness(relators, phi)
+    assert isinstance(res, MinConditionWitness) == admitted
+    if admitted:
+        assert (res.n_role, res.i_roles) == (n, identity)
 
 
 # -- standardization ---------------------------------------------------------
