@@ -246,7 +246,7 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config) as fh:
             values = config_values(fh.read())
-    elif all(flags.get(k) for k in ("n", "m", "lengths", "predicate")):
+    elif all(k in flags for k in ("n", "m", "lengths", "predicate")):
         values = {}
     else:
         # a usage error, reported like argparse's own (status 2)

@@ -34,7 +34,7 @@ from .abelian import (
 )
 from .fox import parse_fraction
 from .mincond import MinConditionWitness, _tau_insert, check_minimum_condition
-from .smallcanc import check_small_cancellation
+from .smallcanc import _verdicts, check_small_cancellation
 from .words import (
     CyclicWord,
     Presentation,
@@ -51,7 +51,7 @@ CSV_HEADER = (
 PREDICATES = ("c-prime", "b1", "min-condition", "slope-classes")
 MODES = ("monte-carlo", "exhaustive")
 
-# trials per task sent to a worker process
+# trials per task sent to a worker process, and per batched piece scan
 _CHUNK = 16
 
 # 97.5% normal quantile, fixed to keep output byte-stable across platforms
@@ -227,10 +227,23 @@ def evaluate_predicate(
     raise ValueError(f"unknown predicate {spec.name}")
 
 
-def _run_trial(args: tuple[PredicateSpec, int, int, int, int, int]) -> bool:
-    spec, n, m, length, master, trial = args
-    rng = random.Random(derive_seed(master, length, trial))
-    return evaluate_predicate(spec, n, sample_tuple(n, m, length, rng))
+def _successes(spec: PredicateSpec, n: int, tuples: Sequence[Sequence[CyclicWord]]) -> int:
+    """How many of the tuples satisfy the predicate; c-prime decides them all
+    in one batched piece scan."""
+    if spec.name == "c-prime":
+        return sum(_verdicts(tuples, spec.lam))
+    return sum(evaluate_predicate(spec, n, t) for t in tuples)
+
+
+def _run_trials(args: tuple[PredicateSpec, int, int, int, int, int, int]) -> int:
+    """Successes among Monte Carlo trials lo..hi-1, each sampled from its own
+    derived seed."""
+    spec, n, m, length, master, lo, hi = args
+    tuples = [
+        sample_tuple(n, m, length, random.Random(derive_seed(master, length, t)))
+        for t in range(lo, hi)
+    ]
+    return _successes(spec, n, tuples)
 
 
 def _all_tuples(
@@ -254,23 +267,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         t0 = time.perf_counter()
         if cfg.mode == "exhaustive":
             trials, tuples = _all_tuples(cfg.n, cfg.m, length, cfg.budget)
-            successes = sum(evaluate_predicate(cfg.predicate, cfg.n, t) for t in tuples)
+            chunks = iter(lambda: tuple(itertools.islice(tuples, _CHUNK)), ())
+            successes = sum(_successes(cfg.predicate, cfg.n, chunk) for chunk in chunks)
             est = Fraction(successes, trials)
             estimate = (est.numerator, str(est.denominator), None, None)
         else:
             trials = cfg.trials
             tasks = [
-                (cfg.predicate, cfg.n, cfg.m, length, cfg.seed, t) for t in range(trials)
+                (cfg.predicate, cfg.n, cfg.m, length, cfg.seed, lo, min(lo + _CHUNK, trials))
+                for lo in range(0, trials, _CHUNK)
             ]
             # a fork pool starts every worker at once: start no more than
             # there are chunks of trials or CPUs
-            workers = min(cfg.workers, -(-trials // _CHUNK), os.cpu_count() or 1)
+            workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
             if workers > 1:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(_run_trial, tasks, chunksize=_CHUNK))
+                    successes = sum(pool.map(_run_trials, tasks))
             else:
-                outcomes = [_run_trial(t) for t in tasks]
-            successes = sum(outcomes)
+                successes = sum(map(_run_trials, tasks))
             estimate = (None, repr(successes / trials), *wilson_interval(successes, trials))
         wall_ms = int((time.perf_counter() - t0) * 1000) if cfg.timing else 0
         rows.append(
@@ -318,6 +332,8 @@ def tau_count(n: int, length: int, budget: int = 1_000_000) -> TauCountResult:
     """Enumerate all (n-1)-tuples of cyclically reduced length-l words,
     filter to first Betti number 1, push through tau_deficiency_one, and
     count the image exactly."""
+    if n < 2:
+        raise ValueError("tau-count needs n >= 2")
     m = n - 1
     r_count, tuples = _all_tuples(n, m, length, budget)
     r_prime = 0

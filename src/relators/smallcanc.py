@@ -59,7 +59,12 @@ def _pair_maxima(relators: Sequence[CyclicWord]):
     """For each unordered pair of oriented texts (2 per relator), the longest
     common cyclic subword length after the full-length collapsing rule, plus
     a witness offset pair.  Returns (lengths_per_text, best, witness_offsets)
-    with dict keys (text_a, text_b), text = 2*relator + (1 if inverted).
+    with dict keys (text_a, text_b), text = 2*relator + (1 if inverted)."""
+    return _pair_maxima_batch((relators,))[0]
+
+
+def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
+    """The `_pair_maxima` triple of every relator tuple, from one sort.
 
     Every rotation of every text is sorted by prefix doubling on cyclic
     shifts (rank level j orders the first 2^j letters), stopping once the
@@ -68,21 +73,35 @@ def _pair_maxima(relators: Sequence[CyclicWord]):
     down the kept levels; a pair of texts shares a piece of length k exactly
     when some occurrence of one follows an occurrence of the other with no
     neighbour LCP below k in between, so one running minimum per text that
-    restarts at each of its occurrences finds every pair maximum."""
-    parts = []
-    for r in relators:
-        fwd = np.asarray(r.letters, dtype=np.int64)
-        parts += (fwd, -fwd[::-1])
+    restarts at each of its occurrences finds every pair maximum.
+
+    Letters are ranked as (tuple index, letter) pairs, so every rotation of
+    one tuple sorts before every rotation of the next and the LCP between
+    them is 0: a running minimum never carries a piece across tuples.  One
+    scan per local text index i serves every tuple at once, capped by the
+    length of text i of each rotation's own tuple."""
+    parts, group, local = [], [], []  # per text: its tuple, its index there
+    for g, relators in enumerate(tuples):
+        for r in relators:
+            fwd = np.asarray(r.letters, dtype=np.int64)
+            parts += (fwd, -fwd[::-1])
+        group += [g] * (2 * len(relators))
+        local += range(2 * len(relators))
     lengths = [len(p) for p in parts]
     size = np.asarray(lengths, dtype=np.int64)
     first = np.cumsum(size) - size
     n = int(size.sum())
     text = np.repeat(np.arange(len(parts)), size)
     top = max(lengths)
+    group = np.asarray(group)
+    batched = len(tuples) > 1
 
     codes = np.concatenate(parts)
-    codes += int(np.abs(codes).max())
-    rank = (np.cumsum(np.bincount(codes) > 0) - 1)[codes]  # dense letter ranks
+    span = 2 * int(np.abs(codes).max()) + 1
+    codes += span // 2
+    if batched:
+        codes += np.repeat(group * span, size)
+    rank = (np.cumsum(np.bincount(codes) > 0) - 1)[codes]  # dense (tuple, letter) ranks
     step = np.arange(1, n + 1)
     step[first + size - 1] = first  # the next letter, cyclically
     levels, jumps = [rank], [step]  # level j: rank of 2^j letters, jump 2^j letters
@@ -111,10 +130,17 @@ def _pair_maxima(relators: Sequence[CyclicWord]):
     at = np.empty(n, dtype=np.int64)
     at[order] = np.arange(n)  # sorted index of each rotation, text by text
     big = top + 1
-    found: dict[tuple[int, int], tuple[int, int, tuple[int, int]]] = {}
-    for t, lt in enumerate(lengths):
-        hit = owner == t
-        seg = np.cumsum(np.concatenate(([False], hit[:-1])))  # restarts after each t
+    found: list[dict[tuple[int, int], tuple[int, int, tuple[int, int]]]] = [{} for _ in tuples]
+    if batched:
+        own_group, own_local = group[owner], np.asarray(local)[owner]
+        text_len = np.zeros((len(tuples), max(local) + 1), dtype=np.int64)
+        text_len[group, local] = size  # |text i| of each tuple, 0 if it has none
+    else:  # one tuple: tuple 0 is a scalar index, and local index = text index
+        own_group, own_local, text_len = 0, owner, size[np.newaxis]
+    for i in range(max(local) + 1):
+        lt = text_len[own_group, i]
+        hit = own_local == i
+        seg = np.cumsum(np.concatenate(([False], hit[:-1])))  # restarts after each i
         run = np.minimum.accumulate(gap - seg * big) + seg * big
         cap = np.where(hit, lt - 1, np.minimum(size[owner], lt))
         val = np.where(seg > 0, np.minimum(run, cap), 0)[at]
@@ -124,13 +150,20 @@ def _pair_maxima(relators: Sequence[CyclicWord]):
         for u in np.flatnonzero(peak > 0).tolist():
             s = int(where[u])
             prev, cur = int(offs[occ[seg[s] - 1]]), int(offs[s])
-            key, pair = ((t, u), (prev, cur)) if t <= u else ((u, t), (cur, prev))
+            v = local[u]
+            key, pair = ((i, v), (prev, cur)) if i <= v else ((v, i), (cur, prev))
             cand = (-int(peak[u]), s, pair)
-            if key not in found or cand < found[key]:
-                found[key] = cand
-    best = {k: -c[0] for k, c in found.items()}
-    wit = {k: c[2] for k, c in found.items()}
-    return lengths, best, wit
+            table = found[group[u]]
+            if key not in table or cand < table[key]:
+                table[key] = cand
+    return [
+        (
+            [len(r) for r in relators for _ in range(2)],
+            {k: -cand[0] for k, cand in table.items()},
+            {k: cand[2] for k, cand in table.items()},
+        )
+        for relators, table in zip(tuples, found)
+    ]
 
 
 def _location(text: int, offset: int) -> PieceLocation:
@@ -195,13 +228,24 @@ def check_small_cancellation(
         raise ValueError("lambda must satisfy 0 < lambda <= 1")
     _validate(relators)
     lengths, best, wit = _pair_maxima(relators)
-    # violation: piece length * den >= num * relator length, exactly
-    violating = [
-        key
-        for key in sorted(best)
-        if best[key] * lam.denominator >= lam.numerator * min(lengths[key[0]], lengths[key[1]])
-    ]
+    violating = _violating(lengths, best, lam)
     if violating:
         key = max(violating, key=best.__getitem__)
         return False, _report_for(relators, key, wit[key], best[key])
     return True, _longest_report(relators, best, wit)
+
+
+def _violating(lengths, best, lam: Fraction) -> list[tuple[int, int]]:
+    """The text pairs of a `_pair_maxima` table whose longest piece breaks
+    C'(lam): piece length * den >= num * relator length, exactly."""
+    return [
+        key
+        for key in sorted(best)
+        if best[key] * lam.denominator >= lam.numerator * min(lengths[key[0]], lengths[key[1]])
+    ]
+
+
+def _verdicts(tuples: Sequence[Sequence[CyclicWord]], lam: Fraction) -> list[bool]:
+    """The C'(lam) verdict of each relator tuple (0 < lam <= 1, tuples
+    validated by the caller), from one batched scan."""
+    return [not _violating(lengths, best, lam) for lengths, best, _ in _pair_maxima_batch(tuples)]

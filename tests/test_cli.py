@@ -311,6 +311,22 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n,m", [("2", "0"), ("0", "1")])
+def test_experiment_zero_rank_or_count_reaches_config_check(capsys, n, m):
+    # 0 is a given value, not a missing flag
+    assert main(["experiment", "--n", n, "--m", m, "--lengths", "8", "--predicate", "b1"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": "need n >= 2 and m >= 1"}
+
+
+def test_tau_count_refuses_rank_one(capsys):
+    assert main(["tau-count", "--n", "1", "--l", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": "tau-count needs n >= 2"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from relators import smallcanc
 from relators.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -212,6 +213,41 @@ def test_csv_identical_across_worker_counts():
         return rows_to_csv(run_experiment(cfg))
 
     assert csv_for(1).encode() == csv_for(8).encode()
+
+
+def test_chunked_c_prime_matches_per_trial_replay():
+    # 37 trials: two full chunks of 16 and a last chunk of 5
+    spec = PredicateSpec("c-prime", lam=Fraction(1, 4))
+    cfg = ExperimentConfig(n=3, m=2, lengths=(10, 16), predicate=spec, trials=37, seed=9)
+    for row in run_experiment(cfg):
+        replay = sum(
+            evaluate_predicate(spec, 3, sample_tuple(3, 2, row.l, random.Random(derive_seed(9, row.l, t))))
+            for t in range(37)
+        )
+        assert row.successes == replay
+        assert 0 < replay < 37
+
+
+@pytest.mark.parametrize(
+    "mode,trials,calls",
+    [("monte-carlo", 37, [3, 3]), ("monte-carlo", 32, [2, 2]), ("exhaustive", 1, [2, 6])],
+)
+def test_one_piece_scan_per_chunk(monkeypatch, mode, trials, calls):
+    # exhaustive n=2 lengths 3, 4: 28 and 84 tuples
+    sizes = []
+    scan = smallcanc._pair_maxima_batch
+    monkeypatch.setattr(smallcanc, "_pair_maxima_batch", lambda ts: sizes.append(len(ts)) or scan(ts))
+    counts = []
+    for length in (3, 4):
+        sizes.clear()
+        cfg = ExperimentConfig(
+            n=2, m=1, lengths=(length,), predicate=PredicateSpec("c-prime", lam=Fraction(1, 6)),
+            mode=mode, trials=trials, seed=2,
+        )
+        (row,) = run_experiment(cfg)
+        assert sum(sizes) == row.trials and max(sizes) <= 16
+        counts.append(len(sizes))
+    assert counts == calls
 
 
 @pytest.mark.parametrize("trials,cpus,pool", [(40, 8, 3), (200, 2, 2), (16, 8, None)])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -263,3 +264,70 @@ def test_long_proper_power_next_to_random_word(root_length, power):
     assert longest_piece(relators).longest_piece_length == len(periodic) - 1
     ok, rep = check_small_cancellation(relators, Fraction(1, 6))
     assert not ok and rep.longest_piece_length == len(periodic) - 1
+
+
+@st.composite
+def tuple_batches(draw):
+    """Lists of 1-6 relator tuples of ranks 2-4; some slots repeat the tuple
+    before them."""
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["tuple", "rank 4", "repeat"]))
+        if kind == "repeat" and batch:
+            batch.append(batch[-1])
+        elif kind == "rank 4":
+            batch.append(tuple(draw(st.lists(cyclic_words(4), min_size=1, max_size=3))))
+        else:
+            batch.append(draw(relator_tuples()))
+    return batch
+
+
+@given(tuple_batches())
+@settings(max_examples=200, deadline=None)
+def test_pair_maxima_batch_tables_and_every_witness(batch):
+    results = smallcanc._pair_maxima_batch(batch)
+    assert len(results) == len(batch)
+    for relators, (lengths, best, wit) in zip(batch, results):
+        assert lengths == [len(t) for t in oriented_texts(relators)]
+        assert best == brute_pair_maxima(relators)
+        assert_witnesses_valid(relators, best, wit)
+
+
+def test_pair_maxima_batch_never_pairs_across_tuples():
+    # alone, x1 and x1 x2 have no piece; next to an identical tuple, or to a
+    # tuple with the same letters, they still have none
+    x1, x1x2 = parse_cyclic_word("x1", 2), parse_cyclic_word("x1 x2", 2)
+    batch = [(x1,), (x1,), (parse_cyclic_word("x1 x1", 2),), (x1,), (x1x2,), (x1x2,)]
+    tables = smallcanc._pair_maxima_batch(batch)
+    assert [best for _, best, _ in tables] == [{}, {}, {(0, 0): 1, (1, 1): 1}, {}, {}, {}]
+    assert smallcanc._verdicts(batch, Fraction(1, 6)) == [True, True, False, True, True, True]
+
+
+def test_single_tuple_tables_and_witnesses_frozen():
+    # _pair_maxima is the batch of one; these tables and witnesses are the
+    # per-tuple scan's, so check-sc reports keep their witnesses
+    rng = random.Random(2024)
+    tables = []
+    for _ in range(60):
+        n = rng.randrange(2, 5)
+        t = [
+            sample_cyclically_reduced(n, rng.randrange(1, 40), rng)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        if rng.random() < 0.3:
+            t.append(CyclicWord(t[0].letters * 3, n))
+        lengths, best, wit = _pair_maxima(tuple(t))
+        assert smallcanc._pair_maxima_batch((tuple(t),)) == [(lengths, best, wit)]
+        tables.append((lengths, sorted(best.items()), sorted(wit.items())))
+    assert hashlib.sha256(repr(tables).encode()).hexdigest()[:16] == "cfd2023533e828c0"
+
+
+def test_verdicts_match_check_small_cancellation():
+    rng = random.Random(41)
+    batch = [
+        tuple(sample_cyclically_reduced(2, rng.randrange(1, 30), rng) for _ in range(rng.randrange(1, 4)))
+        for _ in range(40)
+    ]
+    for lam in (Fraction(1, 6), Fraction(1, 3), Fraction(1, 1)):
+        assert smallcanc._verdicts(batch, lam) == [check_small_cancellation(t, lam)[0] for t in batch]
+
