@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .words import CyclicWord, Presentation, Word
+from .words import CyclicWord, Presentation, Word, _trusted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slope:
     """Integer vector of generator images under phi: F_n -> Z.
 
@@ -302,18 +302,11 @@ def _coefficient_box_points(basis: list[Slope], box: int) -> list[tuple[int, ...
     return points
 
 
-def _trusted_slope(values: tuple[int, ...]) -> Slope:
-    """A Slope from a tuple of plain ints; nothing is converted."""
-    s = object.__new__(Slope)
-    object.__setattr__(s, "values", values)
-    return s
-
-
 def _box_slopes(p: Presentation, box: int, keep) -> list[Slope]:
     if box < 1:
         raise ValueError("box bound must be >= 1")
     points = [v for v in _coefficient_box_points(slope_basis(p), box) if keep(v)]
-    return [_trusted_slope(v) for v in sorted(points)]
+    return [_trusted(Slope, v) for v in sorted(points)]
 
 
 def enumerate_kernel_slopes(

@@ -9,9 +9,9 @@ results as CSV.
 Exit status: 0 success, 1 the checked property is false (check-sc,
 mincond), 2 bad input or a refused budget (`ValueError`, or `OSError` from
 a file that cannot be read or written), 3 a resource cap was hit
-(`TermLimitExceeded`).  These errors are reported as one JSON line on
-stderr, ``{"error": <exception type>, "message": <text>}``, with no
-traceback.
+(`TermLimitExceeded` from certify, `BlockHeightExceeded` from embed).
+These errors are reported as one JSON line on stderr,
+``{"error": <exception type>, "message": <text>}``, with no traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .abelian import Slope, count_slope_classes, enumerate_valid_slopes, slope_basis
-from .embed import embed_presentation
+from .embed import BlockHeightExceeded, embed_presentation
 from .experiment import (
     CONFIG_PARSERS,
     MODES,
@@ -50,7 +50,7 @@ from .words import (
     Presentation,
     Word,
     format_word,
-    parse_cyclic_word,
+    parse_letters,
     sample_cyclically_reduced,
 )
 
@@ -110,14 +110,12 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _read_relators(path: str, rank: Optional[int]) -> tuple[CyclicWord, ...]:
-    lines = _read_lines(path)
-    if not lines:
+    words = [parse_letters(line) for line in _read_lines(path)]
+    if not words:
         raise ValueError("no relators in input")
     if rank is None:
-        rank = max(
-            max(abs(a) for a in parse_cyclic_word(line).letters) for line in lines
-        )
-    return tuple(parse_cyclic_word(line, rank) for line in lines)
+        rank = max(abs(a) for w in words for a in w)
+    return tuple(CyclicWord(w, rank) for w in words)
 
 
 def _parse_phi(text: str) -> Slope:
@@ -125,6 +123,8 @@ def _parse_phi(text: str) -> Slope:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
     rng = random.Random(args.seed)
     lines = [
         format_word(sample_cyclically_reduced(args.rank, args.length, rng))
@@ -375,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TermLimitExceeded as exc:
+    except (TermLimitExceeded, BlockHeightExceeded) as exc:
         return _error(exc, 3)
     except (ValueError, OSError) as exc:
         return _error(exc, 2)

@@ -43,6 +43,11 @@ from .smallcanc import PieceReport, check_small_cancellation, longest_piece
 from .words import CyclicWord, Presentation, Substitution, Word, cyclic_reduce, reduce_letters
 
 
+class BlockHeightExceeded(RuntimeError):
+    """Raised when no block height up to the cap passes every embedding
+    check."""
+
+
 @dataclass(frozen=True)
 class EmbeddingPlan:
     source: Presentation
@@ -162,6 +167,8 @@ def embed_presentation(
     """
     m = len(p.relators)
     n = p.rank
+    if max_block_height < 2:
+        raise ValueError(f"max_block_height must be >= 2, got {max_block_height}")
     if m > n - 2:
         raise ValueError("embedding requires at most n-2 relators")
     witness = check_minimum_condition(p.relators, phi)
@@ -269,6 +276,6 @@ def embed_presentation(
             relabeling=relab,
         )
         return plan, report
-    raise RuntimeError(
+    raise BlockHeightExceeded(
         f"no block height N <= {max_block_height} passes all embedding checks"
     )

@@ -262,38 +262,38 @@ def _all_tuples(
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """One row per configured length; deterministic for a fixed config."""
     cfg.validate()
-    rows = []
-    for length in cfg.lengths:
-        t0 = time.perf_counter()
-        if cfg.mode == "exhaustive":
-            trials, tuples = _all_tuples(cfg.n, cfg.m, length, cfg.budget)
-            chunks = iter(lambda: tuple(itertools.islice(tuples, _CHUNK)), ())
-            successes = sum(_successes(cfg.predicate, cfg.n, chunk) for chunk in chunks)
-            est = Fraction(successes, trials)
-            estimate = (est.numerator, str(est.denominator), None, None)
-        else:
-            trials = cfg.trials
-            tasks = [
-                (cfg.predicate, cfg.n, cfg.m, length, cfg.seed, lo, min(lo + _CHUNK, trials))
-                for lo in range(0, trials, _CHUNK)
-            ]
-            # a fork pool starts every worker at once: start no more than
-            # there are chunks of trials or CPUs
-            workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    successes = sum(pool.map(_run_trials, tasks))
-            else:
-                successes = sum(map(_run_trials, tasks))
-            estimate = (None, repr(successes / trials), *wilson_interval(successes, trials))
-        wall_ms = int((time.perf_counter() - t0) * 1000) if cfg.timing else 0
-        rows.append(
-            ExperimentRow(
-                cfg.predicate.label(), cfg.n, cfg.m, length, cfg.mode,
-                trials, successes, *estimate, cfg.seed, wall_ms,
-            )
-        )
-    return rows
+    # a fork pool starts every worker at once: start one pool for the whole
+    # run, with no more workers than chunks of trials per length or CPUs
+    workers = min(cfg.workers, -(-cfg.trials // _CHUNK), os.cpu_count() or 1)
+    if cfg.mode == "exhaustive" or workers == 1:
+        return [_experiment_row(cfg, length, map) for length in cfg.lengths]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [_experiment_row(cfg, length, pool.map) for length in cfg.lengths]
+
+
+def _experiment_row(cfg: ExperimentConfig, length: int, trial_map) -> ExperimentRow:
+    """The row of one length; Monte Carlo chunks of trials go through
+    `trial_map`, which yields their success counts in chunk order."""
+    t0 = time.perf_counter()
+    if cfg.mode == "exhaustive":
+        trials, tuples = _all_tuples(cfg.n, cfg.m, length, cfg.budget)
+        chunks = iter(lambda: tuple(itertools.islice(tuples, _CHUNK)), ())
+        successes = sum(_successes(cfg.predicate, cfg.n, chunk) for chunk in chunks)
+        est = Fraction(successes, trials)
+        estimate = (est.numerator, str(est.denominator), None, None)
+    else:
+        trials = cfg.trials
+        tasks = [
+            (cfg.predicate, cfg.n, cfg.m, length, cfg.seed, lo, min(lo + _CHUNK, trials))
+            for lo in range(0, trials, _CHUNK)
+        ]
+        successes = sum(trial_map(_run_trials, tasks))
+        estimate = (None, repr(successes / trials), *wilson_interval(successes, trials))
+    wall_ms = int((time.perf_counter() - t0) * 1000) if cfg.timing else 0
+    return ExperimentRow(
+        cfg.predicate.label(), cfg.n, cfg.m, length, cfg.mode,
+        trials, successes, *estimate, cfg.seed, wall_ms,
+    )
 
 
 def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:

@@ -26,7 +26,7 @@ from .words import (
     CyclicWord,
     Presentation,
     Word,
-    _trusted_word,
+    _trusted,
     format_word,
     letter_order,
     parse_letters,
@@ -83,6 +83,7 @@ def _fraction(c: int | Fraction) -> Fraction:
     return c if type(c) is Fraction else _SMALL_FRACTIONS.get(c) or Fraction(c)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class GroupRingElement:
     """Immutable Q[F_n] element: a term dict from reduced letter tuples to
     nonzero exact coefficients, viewed as a mapping from `Word` to `Fraction`.
@@ -92,7 +93,8 @@ class GroupRingElement:
     True
     """
 
-    __slots__ = ("_terms", "rank")
+    _terms: Terms
+    rank: int
 
     def __init__(
         self,
@@ -110,17 +112,14 @@ class GroupRingElement:
         object.__setattr__(self, "_terms", _add_terms({}, checked))
         object.__setattr__(self, "rank", rank)
 
-    def __setattr__(self, *args):
-        raise AttributeError("GroupRingElement is immutable")
-
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(rank: int) -> "GroupRingElement":
-        return _from_kernel({}, rank)
+        return _trusted(GroupRingElement, {}, rank)
 
     @staticmethod
     def one(rank: int) -> "GroupRingElement":
-        return _from_kernel({(): 1}, rank)
+        return _trusted(GroupRingElement, {(): 1}, rank)
 
     @staticmethod
     def from_word(w: Word, coeff: Fraction | int = 1) -> "GroupRingElement":
@@ -133,7 +132,7 @@ class GroupRingElement:
     # -- queries ------------------------------------------------------
     def terms(self) -> dict[Word, Fraction]:
         rank = self.rank
-        return {_trusted_word(w, rank): _fraction(c) for w, c in self._terms.items()}
+        return {_trusted(Word, w, rank): _fraction(c) for w, c in self._terms.items()}
 
     def coefficient(self, w: Word) -> Fraction:
         mine = isinstance(w, Word) and w.rank == self.rank
@@ -149,16 +148,17 @@ class GroupRingElement:
         return self._terms == {(): 1}
 
     def support(self) -> list[Word]:
-        return [_trusted_word(w, self.rank) for w in _sorted_letters(self._terms)]
+        return [_trusted(Word, w, self.rank) for w in _sorted_letters(self._terms)]
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check(other)
         acc = _add_terms(dict(self._terms), other._terms.items())
-        return _from_kernel(acc, self.rank)
+        return _trusted(GroupRingElement, acc, self.rank)
 
     def __neg__(self) -> "GroupRingElement":
-        return _from_kernel({w: -c for w, c in self._terms.items()}, self.rank)
+        terms = {w: -c for w, c in self._terms.items()}
+        return _trusted(GroupRingElement, terms, self.rank)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
@@ -166,7 +166,7 @@ class GroupRingElement:
     def scale(self, c: Fraction | int) -> "GroupRingElement":
         c = _coeff(c)
         terms = {w: _coeff(c * k) for w, k in self._terms.items()} if c else {}
-        return _from_kernel(terms, self.rank)
+        return _trusted(GroupRingElement, terms, self.rank)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         return ring_multiply(self, other)
@@ -177,7 +177,8 @@ class GroupRingElement:
             raise ValueError("only single-term elements are invertible here")
         (w, c), = self._terms.items()
         inverse = tuple(-a for a in reversed(w))
-        return _from_kernel({inverse: _coeff(1 / Fraction(c))}, self.rank)
+        terms = {inverse: _coeff(1 / Fraction(c))}
+        return _trusted(GroupRingElement, terms, self.rank)
 
     def __eq__(self, other) -> bool:
         return (
@@ -221,16 +222,6 @@ def _kernel_terms(e: GroupRingElement) -> Terms:
     return e._terms
 
 
-def _from_kernel(terms: Terms, rank: int) -> GroupRingElement:
-    """Wrap kernel output without a check or a copy: the words are reduced
-    and in range by construction and the coefficients nonzero.  The caller
-    hands the dict over and never mutates it again."""
-    e = object.__new__(GroupRingElement)
-    object.__setattr__(e, "_terms", terms)
-    object.__setattr__(e, "rank", rank)
-    return e
-
-
 def _mul_terms(a: Terms, b: Terms, acc: Terms | None = None) -> Terms:
     """Add the product a*b into `acc` (a new dict by default) and return it.
 
@@ -271,7 +262,8 @@ def ring_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     '1*[] + 1*[x1 x2] + 1*[x2 X1] + 1*[x2 x2]'
     """
     a._check(b)
-    return _from_kernel(_mul_terms(_kernel_terms(a), _kernel_terms(b)), a.rank)
+    terms = _mul_terms(_kernel_terms(a), _kernel_terms(b))
+    return _trusted(GroupRingElement, terms, a.rank)
 
 
 def fox_derivative(r: Word | CyclicWord, j: int) -> GroupRingElement:
@@ -288,21 +280,13 @@ def fox_derivative(r: Word | CyclicWord, j: int) -> GroupRingElement:
     if not (1 <= j <= rank):
         raise ValueError("generator index out of range")
     letters = r.letters
-    acc: Terms = {}
     # prefixes of a reduced word are reduced
-    for k, a in enumerate(letters):
-        if a == j:
-            w, c = letters[:k], 1
-        elif a == -j:
-            w, c = letters[: k + 1], -1
-        else:
-            continue
-        s = acc.get(w, 0) + c
-        if s:
-            acc[w] = s
-        else:
-            del acc[w]
-    return _from_kernel(acc, rank)
+    pairs = (
+        (letters[:k], 1) if a == j else (letters[: k + 1], -1)
+        for k, a in enumerate(letters)
+        if a == j or a == -j
+    )
+    return _trusted(GroupRingElement, _add_terms({}, pairs), rank)
 
 
 @dataclass(frozen=True)

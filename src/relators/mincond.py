@@ -32,7 +32,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .abelian import Slope, slope_basis
-from .words import CyclicWord, Presentation, Word
+from .words import CyclicWord, Presentation
 
 
 @dataclass(frozen=True)
@@ -261,9 +261,6 @@ class Relabeling:
     def apply_letter(self, a: int) -> int:
         img = self.images[abs(a) - 1]
         return img if a > 0 else -img
-
-    def apply_word(self, w: Word) -> Word:
-        return Word(tuple(self.apply_letter(a) for a in w.letters), self.rank)
 
     def apply_cyclic(self, r: CyclicWord) -> CyclicWord:
         return CyclicWord(tuple(self.apply_letter(a) for a in r.letters), self.rank)

@@ -29,7 +29,6 @@ from .fox import (
     JacobianMatrix,
     Terms,
     _add_terms,
-    _from_kernel,
     _kernel_terms,
     _mul_terms,
     jacobian,
@@ -44,7 +43,7 @@ from .mincond import (
     standard_witness,
     standardize,
 )
-from .words import CyclicWord, Presentation, Word
+from .words import CyclicWord, Presentation, Word, _trusted
 
 
 class TermLimitExceeded(RuntimeError):
@@ -66,13 +65,6 @@ class GradedElement:
 
     def component(self, p: int) -> Optional[GroupRingElement]:
         return self.components.get(p)
-
-    def reassemble(self) -> GroupRingElement:
-        rank = len(self.slope)
-        out = GroupRingElement.zero(rank)
-        for part in self.components.values():
-            out = out + part
-        return out
 
 
 def _degrees(words: Sequence[tuple[int, ...]], phi: Slope) -> list[int]:
@@ -106,7 +98,9 @@ def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
     buckets: dict[int, Terms] = {}
     for w, p in zip(terms, _degrees(list(terms), phi)):
         buckets.setdefault(p, {})[w] = terms[w]
-    comps = {p: _from_kernel(part, e.rank) for p, part in sorted(buckets.items())}
+    comps = {
+        p: _trusted(GroupRingElement, part, e.rank) for p, part in sorted(buckets.items())
+    }
     return GradedElement(comps, phi)
 
 
@@ -315,7 +309,7 @@ def truncated_neumann_inverse(
         raise AssertionError("error degree below truncation order (grading bug)")
 
     def public(m: list[list[Terms]]) -> Matrix:
-        return tuple(tuple(_from_kernel(e, rank) for e in row) for row in m)
+        return tuple(tuple(_trusted(GroupRingElement, e, rank) for e in row) for row in m)
 
     return GradedCertificate(
         normalized_matrix=A,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -46,7 +47,27 @@ def _check_letters(letters: Sequence[int], rank: int) -> None:
             raise ValueError(f"letter {a} out of range for rank {rank}")
 
 
-class Word:
+class _Letters:
+    """What `Word` and `CyclicWord` share: a letter tuple over a rank."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.letters)
+
+    def exponent_sum(self, g: int) -> int:
+        """Signed count of x_g letters."""
+        return self.letters.count(g) - self.letters.count(-g)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({format_word(self)!r}, rank={self.rank})"
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class Word(_Letters):
     """A freely reduced word over generators x1..x_rank.
 
     >>> w = Word((1, 2, -1), 2)
@@ -60,7 +81,8 @@ class Word:
     ValueError: word is not freely reduced at position 0
     """
 
-    __slots__ = ("letters", "rank")
+    letters: tuple[int, ...]
+    rank: int
 
     def __init__(self, letters: Iterable[int], rank: int):
         letters = tuple(letters)
@@ -71,27 +93,8 @@ class Word:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
     def __getitem__(self, k):
         return self.letters[k]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.letters == other.letters
-            and self.rank == other.rank
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.rank))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -110,24 +113,9 @@ class Word:
         w = self.letters
         return not w or w[0] != -w[-1]
 
-    def exponent_sum(self, g: int) -> int:
-        """Signed count of x_g letters."""
-        return self.letters.count(g) - self.letters.count(-g)
 
-    def __repr__(self) -> str:
-        return f"Word({format_word(self)!r}, rank={self.rank})"
-
-
-def _trusted_word(letters: tuple[int, ...], rank: int) -> Word:
-    """A Word from a letter tuple already known to be freely reduced and in
-    range for `rank`; nothing is checked."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "rank", rank)
-    return w
-
-
-class CyclicWord:
+@dataclass(frozen=True, slots=True, repr=False)
+class CyclicWord(_Letters):
     """A cyclically reduced word with a marked basepoint representative.
 
     Edge ``k`` carries letter ``letters[k]`` and joins vertex ``k`` to
@@ -140,7 +128,8 @@ class CyclicWord:
     CyclicWord('x2 X1 X2 x1', rank=2)
     """
 
-    __slots__ = ("letters", "rank")
+    letters: tuple[int, ...]
+    rank: int
 
     def __init__(self, letters: Iterable[int], rank: int):
         letters = tuple(letters)
@@ -153,29 +142,10 @@ class CyclicWord:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
-
     @property
     def base(self) -> Word:
         """The basepoint representative as a plain Word."""
         return Word(self.letters, self.rank)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CyclicWord)
-            and self.letters == other.letters
-            and self.rank == other.rank
-        )
-
-    def __hash__(self) -> int:
-        return hash((CyclicWord, self.letters, self.rank))
 
     def cyclic_letter(self, k: int) -> int:
         return self.letters[k % len(self.letters)]
@@ -201,22 +171,24 @@ class CyclicWord:
     def inverse(self) -> "CyclicWord":
         return CyclicWord(tuple(-a for a in reversed(self.letters)), self.rank)
 
-    def exponent_sum(self, g: int) -> int:
-        return self.letters.count(g) - self.letters.count(-g)
 
-    def __repr__(self) -> str:
-        return f"CyclicWord({format_word(self)!r}, rank={self.rank})"
+def _trusted(cls, *values):
+    """An instance of the frozen slotted dataclass `cls` holding `values` in
+    field order, built without a check or a copy.
+
+    The caller vouches for what the validating constructor would check:
+    letter tuples are reduced (cyclically, for a `CyclicWord`) and in range,
+    a `Slope` holds plain ints, and a `GroupRingElement`'s term dict holds
+    reduced words with nonzero coefficients; that dict is handed over, and
+    the caller never mutates it again.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
-def _trusted_cyclic_word(letters: tuple[int, ...], rank: int) -> CyclicWord:
-    """A CyclicWord from a nonempty letter tuple already known to be
-    cyclically reduced and in range for `rank`; nothing is checked."""
-    w = object.__new__(CyclicWord)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "rank", rank)
-    return w
-
-
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Substitution:
     """A homomorphism of free groups given by generator images.
 
@@ -229,7 +201,9 @@ class Substitution:
     [1, 2, -1, 2]
     """
 
-    __slots__ = ("images", "target_rank", "_letter_images")
+    images: tuple[Word, ...]
+    target_rank: int
+    _letter_images: dict[int, tuple[int, ...]]
 
     def __init__(self, images: Sequence[Word]):
         images = tuple(images)
@@ -247,15 +221,9 @@ class Substitution:
         object.__setattr__(self, "target_rank", images[0].rank)
         object.__setattr__(self, "_letter_images", letter_images)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Substitution is immutable")
-
     @property
     def source_rank(self) -> int:
         return len(self.images)
-
-    def image_of_letter(self, a: int) -> Word:
-        return _trusted_word(self._letter_images[a], self.target_rank)
 
     def raw_image(self, w: Word | CyclicWord) -> list[int]:
         """The letters of the images of w's letters, concatenated without
@@ -271,10 +239,12 @@ class Substitution:
         return out
 
 
+@dataclass(frozen=True, slots=True)
 class Presentation:
     """A group presentation: rank n plus an ordered tuple of relators."""
 
-    __slots__ = ("rank", "relators")
+    rank: int
+    relators: tuple[CyclicWord, ...]
 
     def __init__(self, rank: int, relators: Sequence[CyclicWord]):
         relators = tuple(relators)
@@ -283,23 +253,6 @@ class Presentation:
                 raise ValueError("relator rank does not match presentation rank")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "relators", relators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
-
-    @property
-    def deficiency(self) -> int:
-        return self.rank - len(self.relators)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Presentation)
-            and self.rank == other.rank
-            and self.relators == other.relators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.relators))
 
     def __repr__(self) -> str:
         rels = ", ".join(format_word(r) for r in self.relators)
@@ -318,7 +271,7 @@ def reduce(letters: Iterable[int], rank: int) -> Word:
     """
     letters = tuple(letters)
     _check_letters(letters, rank)
-    return _trusted_word(reduce_letters(letters), rank)
+    return _trusted(Word, reduce_letters(letters), rank)
 
 
 def reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
@@ -354,7 +307,7 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
 
 def substitute(s: Substitution, w: Word) -> Word:
     """Apply a substitution homomorphism and freely reduce the image."""
-    return _trusted_word(reduce_letters(s.raw_image(w)), s.target_rank)
+    return _trusted(Word, reduce_letters(s.raw_image(w)), s.target_rank)
 
 
 def _letters_in_order(rank: int) -> list[int]:
@@ -385,7 +338,7 @@ def enumerate_cyclically_reduced(rank: int, length: int) -> Iterator[CyclicWord]
             if len(w) < length:
                 stack += [w + (b,) for b in follow[w[-1]]]
             elif length == 1 or w[-1] != -w[0]:
-                yield _trusted_cyclic_word(w, rank)
+                yield _trusted(CyclicWord, w, rank)
 
     return words()
 
@@ -407,13 +360,18 @@ def count_cyclically_reduced(rank: int, length: int) -> int:
 
 
 def sample_reduced(rank: int, length: int, rng: random.Random) -> Word:
-    """Uniform freely reduced word: non-backtracking letter walk.
+    """Uniform freely reduced word: non-backtracking letter walk."""
+    if rank < 1 or length < 0:
+        raise ValueError("need rank >= 1 and length >= 0")
+    return _trusted(Word, _walk(rank, length, rng), rank)
+
+
+def _walk(rank: int, length: int, rng: random.Random) -> tuple[int, ...]:
+    """The letters of a uniform non-backtracking walk.
 
     ``rng.randrange(2n)`` picks the first letter, each ``rng.randrange(2n-1)``
     one of the alphabet minus the previous letter alphabet[i]'s inverse,
     alphabet[i ^ 1]: choice k is alphabet[k + (k >= i ^ 1)]."""
-    if rank < 1 or length < 0:
-        raise ValueError("need rank >= 1 and length >= 0")
     letters: list[int] = []
     alphabet = _letters_in_order(rank)
     q = 2 * rank - 1
@@ -424,7 +382,7 @@ def sample_reduced(rank: int, length: int, rng: random.Random) -> Word:
         else:
             i = rng.randrange(q + 1)
         letters.append(alphabet[i])
-    return _trusted_word(tuple(letters), rank)
+    return tuple(letters)
 
 
 def sample_cyclically_reduced(rank: int, length: int, rng) -> CyclicWord:
@@ -445,9 +403,9 @@ def sample_cyclically_reduced(rank: int, length: int, rng) -> CyclicWord:
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
     while True:
-        w = sample_reduced(rank, length, rng)
-        if w.is_cyclically_reduced():
-            return _trusted_cyclic_word(w.letters, rank)
+        w = _walk(rank, length, rng)
+        if w[0] != -w[-1]:
+            return _trusted(CyclicWord, w, rank)
 
 
 _LETTER_RE = re.compile(r"[xX][1-9][0-9]*")

@@ -293,6 +293,47 @@ def test_term_cap_exits_3(capsys, tmp_path):
     assert json.loads(line)["error"] == "TermLimitExceeded"
 
 
+def test_block_height_cap_exits_3(capsys, tmp_path):
+    f = tmp_path / "rel.txt"
+    f.write_text("x1 x3 x1 X3 X2\n")
+    code = main(["embed", "--phi", "0,0,-1", "--max-block-height", "3", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": "BlockHeightExceeded",
+        "message": "no block height N <= 3 passes all embedding checks",
+    }
+
+
+@pytest.mark.parametrize("height", ["1", "-5"])
+def test_block_height_cap_below_two_exits_2(capsys, tmp_path, height):
+    f = tmp_path / "rel.txt"
+    f.write_text("x1 x3 x1 X3 X2\n")
+    code = main(["embed", "--phi", "0,0,-1", "--max-block-height", height, str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": "ValueError",
+        "message": f"max_block_height must be >= 2, got {height}",
+    }
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sample_count_below_one_exits_2(capsys, count):
+    assert main(["sample", "-n", "2", "-l", "3", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": "ValueError",
+        "message": f"count must be >= 1, got {count}",
+    }
+
+
 def test_bad_input_exits_2(capsys, tmp_path):
     f = tmp_path / "rel.txt"
     f.write_text("# nothing here\n")

@@ -274,14 +274,18 @@ def test_worker_pool_is_capped(monkeypatch, trials, cpus, pool):
     monkeypatch.setattr("relators.experiment.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
 
-    def csv_for(workers):
+    def csv_for(workers, lengths=(8,)):
         cfg = ExperimentConfig(
-            n=2, m=1, lengths=(8,), predicate=PredicateSpec("b1"),
+            n=2, m=1, lengths=lengths, predicate=PredicateSpec("b1"),
             trials=trials, seed=3, workers=workers,
         )
         return rows_to_csv(run_experiment(cfg))
 
     assert csv_for(10_000) == csv_for(1)
+    assert requests == ([] if pool is None else [pool])
+    # one pool serves every length of a run
+    requests.clear()
+    assert csv_for(10_000, (4, 8, 12)) == csv_for(1, (4, 8, 12))
     assert requests == ([] if pool is None else [pool])
 
 

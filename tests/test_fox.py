@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +20,7 @@ from relators.fox import (
     ring_multiply,
 )
 from relators.words import (
+    CyclicWord,
     Presentation,
     Word,
     format_word,
@@ -339,3 +343,21 @@ def test_integral_product_of_fractions_equals_int_element():
     assert prod == two and hash(prod) == hash(two)
     assert format_ring_element(prod) == "2*[x1 x2]"
     assert prod.terms() == {Word((1, 2), RANK): Fraction(2)}
+
+
+@given(elements_st)
+def test_elements_pickle_and_copy(e):
+    for back in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert type(back) is GroupRingElement
+        assert back == e and hash(back) == hash(e)
+        assert format_ring_element(back) == format_ring_element(e)
+    with pytest.raises(AttributeError):
+        e.rank = 3
+
+
+def test_values_cross_a_process_boundary():
+    relators = (CyclicWord((1, 2, -1, -2), 2), CyclicWord((1, 1, 2), 2))
+    e = parse_ring_element("1/2*[x1] + -3*[X2 x1] + 1*[]", 2)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(copy.copy, relators).result() == relators
+        assert pool.submit(copy.copy, e).result() == e

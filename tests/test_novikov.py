@@ -64,12 +64,16 @@ def test_grade_splits_by_slope_value():
     assert g.component(5) is None
 
 
+def reassemble(g):
+    return sum(g.components.values(), GroupRingElement.zero(len(g.slope)))
+
+
 def test_grade_reassemble_round_trip():
     rng = random.Random(21)
     phi = Slope((1, -2))
     for _ in range(60):
         e = random_element(rng)
-        assert grade(e, phi).reassemble() == e
+        assert reassemble(grade(e, phi)) == e
 
 
 def test_min_degree_of_zero_is_none():
@@ -415,7 +419,7 @@ def test_certificate_matrices_unchanged_by_later_arithmetic():
             for e in row:
                 for f in (e + e, e - e, -e, e * e, e.scale(3), e.scale(Fraction(1, 2))):
                     f + e
-                grade(e, phi).reassemble() + e
+                reassemble(grade(e, phi)) + e
                 e.terms().clear()
     one = GroupRingElement.one(2)
     for row_a, row_c in zip(cert.normalized_matrix, cert.truncated_inverse):

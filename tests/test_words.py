@@ -1,12 +1,19 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from relators.smallcanc import check_small_cancellation
 from relators.words import (
     CyclicWord,
+    Presentation,
+    Substitution,
     Word,
     count_cyclically_reduced,
     cyclic_reduce,
@@ -245,3 +252,54 @@ def test_count_closed_form_at_rank_one_and_four():
     for bad in ((0, 3), (2, 0)):
         with pytest.raises(ValueError):
             count_cyclically_reduced(*bad)
+
+
+# -- values are frozen dataclasses that pickle and copy -----------------------
+
+
+def round_trips(value):
+    """The value after pickling, a shallow copy and a deep copy."""
+    return pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+
+
+words_st = letters_st.map(lambda ls: reduce(ls, 3))
+cyclic_words_st = words_st.filter(len).map(lambda w: cyclic_reduce(w)[0])
+presentations_st = st.lists(cyclic_words_st, max_size=3).map(lambda rs: Presentation(3, rs))
+
+
+@given(st.one_of(words_st, cyclic_words_st, presentations_st))
+def test_values_pickle_and_copy(value):
+    for back in round_trips(value):
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
+        assert repr(back) == repr(value)
+
+
+@given(st.lists(words_st, min_size=1, max_size=3))
+def test_substitutions_pickle_and_copy(images):
+    s = Substitution(images)
+    for back in round_trips(s):
+        assert type(back) is Substitution and back.images == s.images
+        assert back.raw_image(Word((1, 1), 1)) == 2 * list(images[0].letters)
+
+
+def test_piece_report_converts_with_asdict():
+    relators = (CyclicWord((1, 2, 1, -2), 2), CyclicWord((1, 2, 2, 2), 2))
+    ok, report = check_small_cancellation(relators, Fraction(1, 6))
+    assert not ok
+    d = dataclasses.asdict(report)
+    assert d["longest_piece_length"] == report.longest_piece_length
+    assert d["subword"] == {"letters": report.subword.letters, "rank": 2}
+
+
+def test_fields_stay_read_only():
+    w = Word((1, 2), 2)
+    values = (
+        (w, "letters"),
+        (CyclicWord((1, 2), 2), "rank"),
+        (Presentation(2, ()), "relators"),
+        (Substitution([w]), "images"),
+    )
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
