@@ -7,12 +7,9 @@ word r with respect to generator j collects +u for every occurrence
 r = u x_j v and -(u x_j^-1) for every occurrence r = u x_j^-1 v; this is the
 unique derivation with d(x_i)/d(x_j) = delta_ij.
 
-Products run on a term-dict kernel: a dict from reduced letter tuples to
-nonzero coefficients, kept as Python ints while they are integral (Fox
-derivatives and unit-normalized rows always are) and as `Fraction` only
-otherwise.  `GroupRingElement` stores such a dict and builds `Word` and
-`Fraction` values only in its public views (`terms`, `coefficient`,
-`support`, formatting).
+Products run on the term-dict kernel below.  `GroupRingElement` stores a
+term dict and builds `Word` and `Fraction` values only in its public views
+(`terms`, `coefficient`, `support`, formatting).
 """
 
 from __future__ import annotations
@@ -35,13 +32,50 @@ from .words import (
 
 # -- term-dict kernel ---------------------------------------------------
 #
-# A term dict maps freely reduced letter tuples to nonzero coefficients,
-# ints while integral, `Fraction` otherwise.  Sums and products of
-# non-integral coefficients may leave an integral `Fraction`; ints and
-# Fractions of equal value compare and hash alike, so nothing observable
-# depends on which.
+# A term dict maps reduced words, packed into one int each, to nonzero
+# coefficients: ints while integral (Fox derivatives and unit-normalized
+# rows always are), `Fraction` otherwise; equal ints and Fractions compare
+# and hash alike, so nothing observable depends on which.  A packed word of
+# rank n has one `_width(n)`-bit digit per letter, first letter most
+# significant: x_a is digit a, X_a digit n + a, and the empty word is 0.
+# Digits are nonzero, so a word's length is its bit length in whole digits,
+# and u*v without cancellation is (u << width*|v|) | v.  Packed words never
+# leave `fox` and `novikov`.
 
-Terms = dict[tuple[int, ...], int | Fraction]
+Terms = dict[int, int | Fraction]
+
+
+def _width(rank: int) -> int:
+    """Bits per letter digit: whole hex digits holding the digits 1..2*rank."""
+    return max(4, 4 * -(-(2 * rank).bit_length() // 4))
+
+
+def _pack(letters: Iterable[int], rank: int) -> int:
+    """The packed form of a letter sequence (`_unpack` inverts it).
+
+    >>> _pack((1, -2, 2), 2) == 0x142
+    True
+    >>> [_unpack(_pack(w, n), n) for w, n in (((1, -2, 2), 2), ((), 3), ((-9,), 9))]
+    [(1, -2, 2), (), (-9,)]
+    """
+    width = _width(rank)
+    w = 0
+    for a in letters:
+        w = (w << width) | (a if a > 0 else rank - a)
+    return w
+
+
+def _unpack(w: int, rank: int) -> tuple[int, ...]:
+    """The letter tuple of a packed word."""
+    width = _width(rank)
+    mask = (1 << width) - 1
+    out = []
+    while w:
+        d = w & mask
+        out.append(d if d <= rank else rank - d)
+        w >>= width
+    return tuple(reversed(out))
+
 
 # shared Fraction objects for the small integral coefficients that dominate
 _SMALL_FRACTIONS = {c: Fraction(c) for c in range(-16, 17) if c}
@@ -85,7 +119,7 @@ def _fraction(c: int | Fraction) -> Fraction:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class GroupRingElement:
-    """Immutable Q[F_n] element: a term dict from reduced letter tuples to
+    """Immutable Q[F_n] element: a term dict from packed reduced words to
     nonzero exact coefficients, viewed as a mapping from `Word` to `Fraction`.
 
     >>> x1 = GroupRingElement.from_letters((1,), rank=2)
@@ -108,7 +142,7 @@ class GroupRingElement:
                 raise TypeError("group ring terms are indexed by Word")
             if w.rank != rank:
                 raise ValueError("term rank mismatch")
-            checked.append((w.letters, _coeff(c)))
+            checked.append((_pack(w.letters, rank), _coeff(c)))
         object.__setattr__(self, "_terms", _add_terms({}, checked))
         object.__setattr__(self, "rank", rank)
 
@@ -119,7 +153,7 @@ class GroupRingElement:
 
     @staticmethod
     def one(rank: int) -> "GroupRingElement":
-        return _trusted(GroupRingElement, {(): 1}, rank)
+        return _trusted(GroupRingElement, {0: 1}, rank)
 
     @staticmethod
     def from_word(w: Word, coeff: Fraction | int = 1) -> "GroupRingElement":
@@ -132,11 +166,12 @@ class GroupRingElement:
     # -- queries ------------------------------------------------------
     def terms(self) -> dict[Word, Fraction]:
         rank = self.rank
-        return {_trusted(Word, w, rank): _fraction(c) for w, c in self._terms.items()}
+        items = self._terms.items()
+        return {_trusted(Word, _unpack(w, rank), rank): _fraction(c) for w, c in items}
 
     def coefficient(self, w: Word) -> Fraction:
         mine = isinstance(w, Word) and w.rank == self.rank
-        return _fraction(self._terms.get(w.letters, 0) if mine else 0)
+        return _fraction(self._terms.get(_pack(w.letters, self.rank), 0) if mine else 0)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -145,10 +180,10 @@ class GroupRingElement:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(): 1}
+        return self._terms == {0: 1}
 
     def support(self) -> list[Word]:
-        return [_trusted(Word, w, self.rank) for w in _sorted_letters(self._terms)]
+        return [_trusted(Word, w, self.rank) for w, _ in _sorted_terms(self)]
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
@@ -176,7 +211,7 @@ class GroupRingElement:
         if len(self._terms) != 1:
             raise ValueError("only single-term elements are invertible here")
         (w, c), = self._terms.items()
-        inverse = tuple(-a for a in reversed(w))
+        inverse = _pack((-a for a in reversed(_unpack(w, self.rank))), self.rank)
         terms = {inverse: _coeff(1 / Fraction(c))}
         return _trusted(GroupRingElement, terms, self.rank)
 
@@ -201,7 +236,7 @@ class GroupRingElement:
 
 
 def _add_terms(acc: Terms, pairs: Iterable[tuple]) -> Terms:
-    """Add (letters, coefficient) pairs into `acc` in place, dropping zero
+    """Add (packed word, coefficient) pairs into `acc` in place, dropping zero
     sums; returns `acc`."""
     for w, c in pairs:
         s = acc.get(w, 0) + c
@@ -212,39 +247,43 @@ def _add_terms(acc: Terms, pairs: Iterable[tuple]) -> Terms:
     return acc
 
 
-def _sorted_letters(terms: Terms) -> list[tuple[int, ...]]:
-    """Support in display order: shortest first, then by `letter_order`."""
-    return sorted(terms, key=lambda w: (len(w), tuple(map(letter_order, w))))
+def _sorted_terms(e: GroupRingElement) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    """(letters, coefficient) pairs in display order: shortest word first,
+    then by `letter_order`."""
+    items = [(_unpack(w, e.rank), c) for w, c in e._terms.items()]
+    return sorted(items, key=lambda t: (len(t[0]), tuple(map(letter_order, t[0]))))
 
 
-def _kernel_terms(e: GroupRingElement) -> Terms:
-    """The element's own term dict; callers read it and never mutate it."""
-    return e._terms
-
-
-def _mul_terms(a: Terms, b: Terms, acc: Terms | None = None) -> Terms:
-    """Add the product a*b into `acc` (a new dict by default) and return it.
+def _mul_terms(a: Terms, b: Terms, rank: int, acc: Terms | None = None) -> Terms:
+    """Add the product a*b of rank-`rank` term dicts into `acc` (a new dict
+    by default) and return it.
 
     Both factors hold reduced words, so u*v can cancel only where u ends and
-    v begins: strip the longest suffix of u that is inverse to a prefix of
-    v and join the rest.
+    v begins: while the last digit of u is the inverse of the first digit of
+    v, drop both, then join the rest.
     """
     if acc is None:
         acc = {}
     get = acc.get
-    b_items = list(b.items())
+    width = _width(rank)
+    mask = (1 << width) - 1
+    # the inverse of each digit; the empty word has no first digit to cancel
+    inverse = [-1, *range(rank + 1, 2 * rank + 1), *range(1, rank + 1)]
+    b_items = []  # (v, coefficient, width*|v|, the last digit of u that cancels v)
+    for v, cv in b.items():
+        shift = -(-v.bit_length() // width) * width
+        b_items.append((v, cv, shift, inverse[v >> (shift - width) if v else 0]))
     for u, cu in a.items():
-        nu = len(u)
-        last_inv = -u[-1] if u else 0
-        for v, cv in b_items:
-            if v and v[0] == last_inv:
-                k = 1
-                top = min(nu, len(v))
-                while k < top and u[nu - 1 - k] == -v[k]:
-                    k += 1
-                w = u[: nu - k] + v[k:]
+        last = u & mask
+        for v, cv, shift, cancels in b_items:
+            if cancels == last:
+                x, k = u >> width, shift - width
+                while k and x & mask == inverse[(v >> (k - width)) & mask]:
+                    x >>= width
+                    k -= width
+                w = (x << k) | (v & ((1 << k) - 1))
             else:
-                w = u + v
+                w = (u << shift) | v
             c = get(w, 0) + cu * cv
             if c:
                 acc[w] = c
@@ -262,7 +301,7 @@ def ring_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     '1*[] + 1*[x1 x2] + 1*[x2 X1] + 1*[x2 x2]'
     """
     a._check(b)
-    terms = _mul_terms(_kernel_terms(a), _kernel_terms(b))
+    terms = _mul_terms(a._terms, b._terms, a.rank)
     return _trusted(GroupRingElement, terms, a.rank)
 
 
@@ -279,14 +318,16 @@ def fox_derivative(r: Word | CyclicWord, j: int) -> GroupRingElement:
     rank = r.rank
     if not (1 <= j <= rank):
         raise ValueError("generator index out of range")
-    letters = r.letters
-    # prefixes of a reduced word are reduced
-    pairs = (
-        (letters[:k], 1) if a == j else (letters[: k + 1], -1)
-        for k, a in enumerate(letters)
-        if a == j or a == -j
-    )
-    return _trusted(GroupRingElement, _add_terms({}, pairs), rank)
+    width = _width(rank)
+    acc: Terms = {}
+    prefix = 0  # packed prefixes of a reduced word are reduced and distinct
+    for a in r.letters:
+        if a == j:
+            acc[prefix] = 1
+        prefix = (prefix << width) | (a if a > 0 else rank - a)
+        if a == -j:
+            acc[prefix] = -1
+    return _trusted(GroupRingElement, acc, rank)
 
 
 @dataclass(frozen=True)
@@ -324,8 +365,7 @@ _TERM_RE = re.compile(
 
 
 def format_ring_element(e: GroupRingElement) -> str:
-    terms = e._terms
-    parts = (f"{terms[w]}*[{format_word(w)}]" for w in _sorted_letters(terms))
+    parts = (f"{c}*[{format_word(w)}]" for w, c in _sorted_terms(e))
     return " + ".join(parts) or "0"
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -29,8 +30,9 @@ from .fox import (
     JacobianMatrix,
     Terms,
     _add_terms,
-    _kernel_terms,
     _mul_terms,
+    _unpack,
+    _width,
     jacobian,
 )
 from .mincond import (
@@ -67,21 +69,33 @@ class GradedElement:
         return self.components.get(p)
 
 
-def _degrees(words: Sequence[tuple[int, ...]], phi: Slope) -> list[int]:
-    """phi(w) of each letter tuple w, recomputed exactly from its letters by
-    signed generator counts; every degree in this module comes from here.
+@lru_cache(maxsize=256)
+def _byte_table(values: tuple[int, ...]) -> tuple[int, ...]:
+    """phi's value on each byte of a packed word of rank <= 127: two letter
+    digits to a byte at width 4, one at width 8."""
+    digit = [0, *values, *(-v for v in values)]
+    digit += [0] * (256 - len(digit))
+    if _width(len(values)) == 8:
+        return tuple(digit)
+    return tuple(digit[b >> 4] + digit[b & 15] for b in range(256))
 
-    >>> _degrees([(), (2, 2, -1), (-2,)], Slope((3, -1)))
+
+def _degrees(words: Sequence[int], phi: Slope) -> list[int]:
+    """phi(w) of each packed word w, recomputed exactly from its letters
+    through `_byte_table`; every degree in this module comes from here.
+
+    >>> from .fox import _pack
+    >>> _degrees([_pack(w, 2) for w in ((), (2, 2, -1), (-2,))], Slope((3, -1)))
     [0, -5, 1]
     """
-    total = [0] * len(words)
-    for g, v in enumerate(phi.values, start=1):
-        if v:
-            total = [t + v * (w.count(g) - w.count(-g)) for t, w in zip(total, words)]
-    return total
+    rank = len(phi.values)
+    if _width(rank) > 8:
+        return [phi.of_word(_unpack(w, rank)) for w in words]
+    get = _byte_table(phi.values).__getitem__
+    return [sum(map(get, w.to_bytes((w.bit_length() + 7) >> 3, "big"))) for w in words]
 
 
-def _min_degree(words: Iterable[tuple[int, ...]], phi: Slope) -> Optional[int]:
+def _min_degree(words: Iterable[int], phi: Slope) -> Optional[int]:
     """Least degree over `words`, in one batched pass; None when empty."""
     return min(_degrees(list(words), phi), default=None)
 
@@ -94,7 +108,7 @@ def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
     >>> sorted(g.components), g.min_degree
     ([-1, 0], -1)
     """
-    terms = _kernel_terms(e)
+    terms = e._terms
     buckets: dict[int, Terms] = {}
     for w, p in zip(terms, _degrees(list(terms), phi)):
         buckets.setdefault(p, {})[w] = terms[w]
@@ -106,7 +120,7 @@ def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
 
 def min_degree(e: GroupRingElement, phi: Slope) -> Optional[int]:
     """Least slope value over the support; None for the zero element."""
-    return _min_degree(_kernel_terms(e), phi)
+    return _min_degree(e._terms, phi)
 
 
 @dataclass(frozen=True)
@@ -220,7 +234,7 @@ class GradedCertificate:
     relabeling: Optional[Relabeling] = None
 
 
-def _matmul(a: list[list[Terms]], b: list[list[Terms]]) -> list[list[Terms]]:
+def _matmul(a: list[list[Terms]], b: list[list[Terms]], rank: int) -> list[list[Terms]]:
     size = len(a)
     out = []
     for i in range(size):
@@ -229,7 +243,7 @@ def _matmul(a: list[list[Terms]], b: list[list[Terms]]) -> list[list[Terms]]:
             acc: Terms = {}
             for k in range(size):
                 if a[i][k] and b[k][j]:
-                    _mul_terms(a[i][k], b[k][j], acc)
+                    _mul_terms(a[i][k], b[k][j], rank, acc)
             row.append(acc)
         out.append(row)
     return out
@@ -238,7 +252,7 @@ def _matmul(a: list[list[Terms]], b: list[list[Terms]]) -> list[list[Terms]]:
 def _minus_eye(a: list[list[Terms]]) -> list[list[Terms]]:
     """a - I, in place; returns a."""
     for i, row in enumerate(a):
-        _add_terms(row[i], [((), -1)])
+        _add_terms(row[i], [(0, -1)])
     return a
 
 
@@ -262,6 +276,8 @@ def truncated_neumann_inverse(
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
+    if term_cap < 1:
+        raise ValueError(f"term cap must be >= 1, got {term_cap}")
     A: Matrix = tuple(tuple(row) for row in matrix)
     size = len(A)
     if any(len(row) != size for row in A):
@@ -271,7 +287,7 @@ def truncated_neumann_inverse(
     rank = A[0][0].rank
     if any(e.rank != rank for row in A for e in row):
         raise ValueError("rank mismatch")
-    a = [[_kernel_terms(e) for e in row] for row in A]
+    a = [[e._terms for e in row] for row in A]
     b = _minus_eye([[dict(e) for e in row] for row in a])
     for i in range(size):
         for j in range(size):
@@ -282,12 +298,13 @@ def truncated_neumann_inverse(
                     f"not graded-dominant: {where} entry ({i},{j}) has degree {d} < 1"
                 )
     neg_b = [[{w: -c for w, c in e.items()} for e in row] for row in b]
-    # (-B)^k, starting from the identity
-    power = [[{(): 1} if i == j else {} for j in range(size)] for i in range(size)]
-    series = [[dict(e) for e in row] for row in power]  # sum so far
-    series_terms = size
-    for _ in range(1, order):
-        power = _matmul(power, neg_b)
+    # C_K = sum of (-B)^k for k < K, the powers starting from the identity
+    power = [[{0: 1} if i == j else {} for j in range(size)] for i in range(size)]
+    series: list[list[Terms]] = [[{} for _ in row] for row in power]
+    series_terms = 0
+    for k in range(order):
+        if k:
+            power = _matmul(power, neg_b, rank)
         if sum(len(e) for row in power for e in row) + series_terms > term_cap:
             raise TermLimitExceeded(
                 f"term cap {term_cap} exceeded at truncation order {order}"
@@ -298,10 +315,10 @@ def truncated_neumann_inverse(
         series_terms = sum(len(e) for row in series for e in row)
     # the one stored -(-B)^K = (-B)^(K-1) B, against which both sides of the
     # telescoping identity are checked
-    error = _matmul(power, b)
+    error = _matmul(power, b, rank)
     if (
-        _minus_eye(_matmul(a, series)) != error  # A*C_K - I
-        or _minus_eye(_matmul(series, a)) != error  # C_K*A - I
+        _minus_eye(_matmul(a, series, rank)) != error  # A*C_K - I
+        or _minus_eye(_matmul(series, a, rank)) != error  # C_K*A - I
     ):
         raise AssertionError("telescoping identity failed (ring arithmetic bug)")
     edeg = _min_degree(chain.from_iterable(chain.from_iterable(error)), phi)

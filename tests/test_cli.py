@@ -293,6 +293,40 @@ def test_term_cap_exits_3(capsys, tmp_path):
     assert json.loads(line)["error"] == "TermLimitExceeded"
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_term_cap_below_one_exits_2(capsys, tmp_path, cap):
+    f = tmp_path / "rel.txt"
+    f.write_text("x2 x1 X2 X1\n")
+    code = main(["certify", "--phi", "0,-1", "--order", "2", "--term-cap", cap, str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": "ValueError",
+        "message": f"term cap must be >= 1, got {cap}",
+    }
+
+
+def test_term_cap_counts_the_starting_series(capsys, tmp_path):
+    # at order 1 the truncated inverse is the identity, one term per relator
+    f = tmp_path / "rel.txt"
+    f.write_text("x3 x1 X3 X1\nx3 x2 X3 X2\n")
+    argv = ["certify", "--phi", "0,0,-1", "--order", "1", str(f)]
+    code = main(argv + ["--term-cap", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": "TermLimitExceeded",
+        "message": "term cap 1 exceeded at truncation order 1",
+    }
+    code, out = run_cli(capsys, *argv, "--term-cap", "2")
+    assert code == 0
+    assert json.loads(out)["inverse_term_count"] == 2
+
+
 def test_block_height_cap_exits_3(capsys, tmp_path):
     f = tmp_path / "rel.txt"
     f.write_text("x1 x3 x1 X3 X2\n")

@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from relators.fox import (
     GroupRingElement,
     JacobianMatrix,
+    _mul_terms,
+    _pack,
+    _unpack,
     format_ring_element,
     fox_derivative,
     jacobian,
@@ -361,3 +364,129 @@ def test_values_cross_a_process_boundary():
     with ProcessPoolExecutor(max_workers=1) as pool:
         assert pool.submit(copy.copy, relators).result() == relators
         assert pool.submit(copy.copy, e).result() == e
+
+
+# -- the packed-word kernel against the letter-tuple kernel it replaced -------
+
+
+def tuple_mul_terms(a, b, acc=None):
+    """Oracle: the product kernel on letter-tuple term dicts.  Both factors
+    hold reduced words, so only the longest suffix of u inverse to a prefix
+    of v cancels."""
+    if acc is None:
+        acc = {}
+    for u, cu in a.items():
+        nu = len(u)
+        for v, cv in b.items():
+            k = 0
+            while k < min(nu, len(v)) and u[nu - 1 - k] == -v[k]:
+                k += 1
+            w = u[: nu - k] + v[k:]
+            c = acc.get(w, 0) + cu * cv
+            if c:
+                acc[w] = c
+            else:
+                del acc[w]
+    return acc
+
+
+def packed(terms, rank):
+    return {_pack(w, rank): c for w, c in terms.items()}
+
+
+# ranks 1, 2 and 7 pack 4-bit digits, 8 one-byte digits and 130 twelve-bit
+# digits; words over x1, x2 and the last generator cancel often and reach
+# the highest digit 2*rank
+PACKED_RANKS = (1, 2, 7, 8, 130)
+
+
+def letter_tuples_st(rank, max_size=8):
+    gens = sorted({1, min(2, rank), rank})
+    letters = st.sampled_from(gens + [-g for g in gens])
+    return st.lists(letters, max_size=max_size).map(lambda ls: reduce(ls, rank).letters)
+
+
+@st.composite
+def tuple_terms_st(draw):
+    rank = draw(st.sampled_from(PACKED_RANKS))
+    terms = st.dictionaries(letter_tuples_st(rank), coefficients_st, max_size=6)
+    return rank, draw(terms), draw(terms)
+
+
+@given(tuple_terms_st())
+@settings(max_examples=300)
+def test_packed_product_matches_tuple_kernel(case):
+    rank, a, b = case
+    pa, pb = packed(a, rank), packed(b, rank)
+    assert _mul_terms(pa, pb, rank) == packed(tuple_mul_terms(a, b), rank)
+    # accumulating into a dict that already holds terms, as the series does
+    expected = tuple_mul_terms(a, b, dict(b))
+    assert _mul_terms(pa, pb, rank, dict(pb)) == packed(expected, rank)
+    assert all(c != 0 for c in expected.values())
+
+
+@given(
+    st.sampled_from(PACKED_RANKS).flatmap(
+        lambda n: st.tuples(st.just(n), letter_tuples_st(n, 12), letter_tuples_st(n, 12))
+    ),
+    coefficients_st,
+    coefficients_st,
+)
+@settings(max_examples=300)
+def test_packed_product_cancels_through_whole_words(case, cu, cv):
+    rank, u, v = case
+    inverse = tuple(-a for a in reversed(u))
+    # u * u^-1 = 1 with the coefficients multiplied, empty words included
+    assert _mul_terms({_pack(u, rank): cu}, {_pack(inverse, rank): cv}, rank) == {0: cu * cv}
+    # u * (u^-1 v) = v: cancellation runs through all of u
+    rest = reduce(inverse + v, rank).letters
+    assert _mul_terms({_pack(u, rank): 1}, {_pack(rest, rank): 1}, rank) == {_pack(v, rank): 1}
+    assert _unpack(_pack(u, rank), rank) == u
+
+
+def test_packed_empty_word_is_the_unit():
+    half = {0: Fraction(1, 2)}
+    for rank in PACKED_RANKS:
+        w = _pack((rank, -1), rank)
+        assert _mul_terms({0: 2}, half, rank) == {0: 1}
+        product = {w: Fraction(3, 2)}
+        assert _mul_terms(half, {w: 3}, rank) == _mul_terms({w: 3}, half, rank) == product
+    # rank 0 has only the empty word
+    one = GroupRingElement.one(0)
+    assert (one * one.scale(3)).terms() == {Word((), 0): 3}
+
+
+@st.composite
+def ranked_elements_st(draw):
+    rank = draw(st.sampled_from(PACKED_RANKS))
+    words = letter_tuples_st(rank).map(lambda ls: Word(ls, rank))
+    items = draw(st.lists(st.tuples(words, coefficients_st), max_size=6))
+    unit = draw(words), draw(coefficients_st)
+    return GroupRingElement(items, rank), GroupRingElement.from_word(*unit)
+
+
+@given(ranked_elements_st())
+@settings(max_examples=200)
+def test_packed_elements_keep_the_value_idiom(case):
+    e, unit = case
+    rank = e.rank
+    for back in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert type(back) is GroupRingElement
+        assert back == e and hash(back) == hash(e)
+        assert back.terms() == e.terms()
+    # the public views hold reduced Words of the element's rank
+    terms = e.terms()
+    assert len(e.support()) == len(terms) and set(e.support()) == set(terms)
+    for w, c in terms.items():
+        assert type(w) is Word and w.rank == rank
+        assert reduce(w.letters, rank) == w and Word(w.letters, rank) == w
+        assert type(c) is Fraction and c != 0 and e.coefficient(w) == c
+    # the same element built by the constructor, by parsing and by products
+    for same in (
+        GroupRingElement(terms, rank),
+        parse_ring_element(format_ring_element(e), rank),
+        e * unit * unit.inverse_unit(),
+        unit.inverse_unit() * (unit * e),
+    ):
+        assert same == e and hash(same) == hash(e)
+        assert format_ring_element(same) == format_ring_element(e)
