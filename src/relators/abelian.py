@@ -5,14 +5,14 @@ A slope is a homomorphism phi: F_n -> Z recorded by its values on the
 generators.  The slopes that matter are those annihilating every relator,
 i.e. the integer kernel of the exponent-sum matrix; a slope is *valid* when
 additionally no generator maps to 0.  All arithmetic here is exact integer
-arithmetic (Smith/Hermite elimination), never floating point.
+arithmetic (Hermite elimination), never floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .words import CyclicWord, Presentation, Word, _trusted
 
@@ -99,7 +99,9 @@ def smith_normal_form(
     """Exact Smith normal form D = U * A * V with U, V unimodular.
 
     Returns (D, U, V); D is diagonal with d_1 | d_2 | ... and nonnegative
-    diagonal entries.  Intended for the small matrices that show up here.
+    diagonal entries.  Intended for small matrices.  No runtime path calls
+    it: ranks and kernels come from `hermite_row_basis`, and this stays as
+    their tests' oracle.
     """
     A = [list(map(int, r)) for r in rows]
     m = len(A)
@@ -246,20 +248,24 @@ def slope_basis(p: Presentation) -> list[Slope]:
     sign rule used by the commutator-insertion maps (first nonzero value of
     phi negative).  Rank-0 kernels give an empty list.
 
+    The kernel comes from one Hermite reduction of the n x (m+n) matrix
+    [A^T | I_n], whose row lattice is {(x A^T, x)}: the reduced rows with a
+    zero A^T part are the kernel's Hermite basis in their last n entries
+    (Cohen 1993, 2.4.3).  Their pivots are positive, so negating each row
+    makes its first nonzero entry negative.
+
     >>> from .words import parse_cyclic_word
     >>> slope_basis(Presentation(2, [parse_cyclic_word("x1 x2")]))
     [Slope(values=(-1, 1))]
     """
     A = abelianization_matrix(p)
-    n = p.rank
-    D, _, V = smith_normal_form(A.rows, n)
-    r = sum(1 for k in range(min(len(D), n)) if D[k][k] != 0)
-    kernel_cols = [[V[i][j] for i in range(n)] for j in range(r, n)]
-    out = []
-    for row in hermite_row_basis(kernel_cols):
-        sign = -1 if next(v for v in row if v) > 0 else 1
-        out.append(Slope(sign * a for a in row))
-    return out
+    n, m = p.rank, A.nrows
+    rows = [[r[j] for r in A.rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    return [
+        _trusted(Slope, tuple([-a for a in row[m:]]))
+        for row in hermite_row_basis(rows)
+        if not any(row[:m])
+    ]
 
 
 def _coefficient_range(s: int, pv: int, box: int) -> range:
@@ -275,38 +281,53 @@ def _coefficient_range(s: int, pv: int, box: int) -> range:
     return range(-(-lo // pv), hi // pv + 1)
 
 
-def _coefficient_box_points(basis: list[Slope], box: int) -> list[tuple[int, ...]]:
-    """All lattice points of the span with max-norm <= box, in the
-    lexicographic order of their coefficient vectors.
+def _coefficient_box_points(basis: list[Slope], box: int) -> Iterator[tuple[int, ...]]:
+    """The lattice points of the span with max-norm <= box, lazily, in
+    ascending lexicographic order.
 
-    Walks the Hermite staircase row by row.  Row a fixes the coordinates
+    Walks the Hermite staircase depth first.  Row a fixes the coordinates
     from its pivot up to the next pivot (later rows are zero there), so its
     coefficients are limited to the exact ranges those coordinates allow
-    and no point outside the box is ever built."""
+    and no point outside the box is ever built.  Points that agree before
+    row a's pivot are ordered by their pivot entry, which moves with the
+    coefficient c in the sign of the pivot, so c runs ascending under a
+    positive pivot and descending under a negative one."""
     if not basis:
-        return []
+        return
     rows = [b.values for b in basis]
     n = len(rows[0])
     pivots = [next(j for j, v in enumerate(row) if v) for row in rows] + [n]
-    points = [(0,) * n]
-    for a, row in enumerate(rows):
+    last = len(rows) - 1
+
+    def walk(a: int, p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        row = rows[a]
         fixed = range(pivots[a], pivots[a + 1])
-        grown = []
-        for p in points:
-            if any(not row[i] and abs(p[i]) > box for i in fixed):
-                continue
-            rs = [_coefficient_range(p[i], row[i], box) for i in fixed if row[i]]
-            for c in range(max(r.start for r in rs), min(r.stop for r in rs)):
-                grown.append(tuple([x + c * y for x, y in zip(p, row)]) if c else p)
-        points = grown
-    return points
+        if any(not row[i] and abs(p[i]) > box for i in fixed):
+            return
+        rs = [_coefficient_range(p[i], row[i], box) for i in fixed if row[i]]
+        cs = range(max(r.start for r in rs), min(r.stop for r in rs))
+        for c in reversed(cs) if row[pivots[a]] < 0 else cs:
+            q = tuple([x + c * y for x, y in zip(p, row)]) if c else p
+            if a == last:
+                yield q
+            else:
+                yield from walk(a + 1, q)
+
+    yield from walk(0, (0,) * n)
 
 
-def _box_slopes(p: Presentation, box: int, keep) -> list[Slope]:
+def _box_slopes(p: Presentation, box: int, keep) -> Iterator[Slope]:
+    """The kernel slopes v in the box with keep(v), lazily, in ascending
+    lexicographic order; each `Slope` is built only when it is reached."""
     if box < 1:
         raise ValueError("box bound must be >= 1")
-    points = [v for v in _coefficient_box_points(slope_basis(p), box) if keep(v)]
-    return [_trusted(Slope, v) for v in sorted(points)]
+    for v in _coefficient_box_points(slope_basis(p), box):
+        if keep(v):
+            yield _trusted(Slope, v)
+
+
+def _primitive(v: tuple[int, ...]) -> bool:
+    return math.gcd(*v) == 1
 
 
 def enumerate_kernel_slopes(
@@ -316,7 +337,7 @@ def enumerate_kernel_slopes(
     order.  With primitive_only, keep one representative per positive ray
     (gcd of the entries equal to 1); the sign still distinguishes phi
     from -phi, which induce different lower sections."""
-    return _box_slopes(p, box, (lambda v: math.gcd(*v) == 1) if primitive_only else any)
+    return list(_box_slopes(p, box, _primitive if primitive_only else any))
 
 
 def enumerate_valid_slopes(p: Presentation, box: int) -> list[Slope]:
@@ -328,7 +349,7 @@ def enumerate_valid_slopes(p: Presentation, box: int) -> list[Slope]:
     >>> [s.values for s in sl]
     [(-2, 2), (-1, 1), (1, -1), (2, -2)]
     """
-    return _box_slopes(p, box, all)
+    return list(_box_slopes(p, box, all))
 
 
 def count_slope_classes(

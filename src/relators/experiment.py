@@ -26,8 +26,9 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .abelian import (
+    _box_slopes,
+    _primitive,
     count_slope_classes,
-    enumerate_kernel_slopes,
     enumerate_valid_slopes,
     first_betti_number,
     slope_basis,
@@ -214,9 +215,10 @@ def evaluate_predicate(
     if spec.name == "b1":
         return first_betti_number(p) == max(n - m, 0)
     if spec.name == "min-condition":
+        # the walk builds each primitive slope only when `any` reaches it
         return any(
             isinstance(check_minimum_condition(relators, phi), MinConditionWitness)
-            for phi in enumerate_kernel_slopes(p, spec.box, primitive_only=True)
+            for phi in _box_slopes(p, spec.box, _primitive)
         )
     if spec.name == "slope-classes":
         slopes = enumerate_valid_slopes(p, spec.box)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -310,12 +311,9 @@ def substitute(s: Substitution, w: Word) -> Word:
     return _trusted(Word, reduce_letters(s.raw_image(w)), s.target_rank)
 
 
-def _letters_in_order(rank: int) -> list[int]:
-    out = []
-    for g in range(1, rank + 1):
-        out.append(g)
-        out.append(-g)
-    return out
+@cache
+def _letters_in_order(rank: int) -> tuple[int, ...]:
+    return tuple(a for g in range(1, rank + 1) for a in (g, -g))
 
 
 def enumerate_cyclically_reduced(rank: int, length: int) -> Iterator[CyclicWord]:
@@ -369,19 +367,31 @@ def sample_reduced(rank: int, length: int, rng: random.Random) -> Word:
 def _walk(rank: int, length: int, rng: random.Random) -> tuple[int, ...]:
     """The letters of a uniform non-backtracking walk.
 
-    ``rng.randrange(2n)`` picks the first letter, each ``rng.randrange(2n-1)``
-    one of the alphabet minus the previous letter alphabet[i]'s inverse,
-    alphabet[i ^ 1]: choice k is alphabet[k + (k >= i ^ 1)]."""
-    letters: list[int] = []
+    The first letter is alphabet[i] for i uniform below 2n, each later one
+    is one of the alphabet minus the previous letter alphabet[i]'s inverse,
+    alphabet[i ^ 1]: choice k below 2n-1 is alphabet[k + (k >= i ^ 1)].
+    A draw below q takes ``getrandbits(q.bit_length())`` until the value is
+    below q, which is how CPython's ``rng.randrange(q)`` draws, so the walk
+    reads the same bits as ``randrange(2n)`` then ``randrange(2n-1)``
+    calls and leaves the generator in the same state."""
+    if not length:
+        return ()
     alphabet = _letters_in_order(rank)
+    bits = rng.getrandbits
     q = 2 * rank - 1
-    for _ in range(length):
-        if letters:
-            k = rng.randrange(q)
-            i = k + (k >= i ^ 1)
-        else:
-            i = rng.randrange(q + 1)
-        letters.append(alphabet[i])
+    k = (q + 1).bit_length()
+    i = bits(k)
+    while i > q:
+        i = bits(k)
+    letters = [alphabet[i]]
+    append = letters.append
+    k = q.bit_length()
+    for _ in range(length - 1):
+        c = bits(k)
+        while c >= q:
+            c = bits(k)
+        i = c + (c >= i ^ 1)
+        append(alphabet[i])
     return tuple(letters)
 
 

@@ -66,6 +66,20 @@ def snf_rank(rows, ncols=None):
     return sum(1 for k in range(min(len(D), len(D[0]) if D else 0)) if D[k][k] != 0)
 
 
+def smith_kernel_basis(rows, n):
+    """Oracle: the kernel basis through the Smith normal form D = U A V.
+    The columns of V past the rank span the kernel; they are Hermite-reduced
+    and each is signed so that its first nonzero entry is negative."""
+    D, _, V = smith_normal_form(rows, n)
+    r = sum(1 for k in range(min(len(D), n)) if D[k][k] != 0)
+    kernel_cols = [[V[i][j] for i in range(n)] for j in range(r, n)]
+    out = []
+    for row in hermite_row_basis(kernel_cols):
+        sign = -1 if next(v for v in row if v) > 0 else 1
+        out.append(tuple(sign * a for a in row))
+    return out
+
+
 def recursive_box_points(basis, box):
     """Oracle: depth-first walk of the coefficient staircase, one recursive
     generator per level, checking the max-norm only at the leaves."""
@@ -179,19 +193,29 @@ def staircase_bases(draw):
 @given(staircase_bases(), st.integers(min_value=1, max_value=6))
 @settings(max_examples=300)
 def test_box_walk_matches_recursive_oracle(basis, box):
-    got = _coefficient_box_points(basis, box)
-    want = list(recursive_box_points(basis, box))
-    assert got == want  # same points in the same (coefficient) order
-    assert set(got) == set(want) and sorted(got) == sorted(want)
+    # the oracle walks coefficient order; the walk yields ascending values
+    got = list(_coefficient_box_points(basis, box))
+    assert got == sorted(recursive_box_points(basis, box))
     assert all(max(map(abs, v)) <= box for v in got)
 
 
 def test_box_walk_example_with_negative_pivots():
-    basis = [Slope((-2, 1, 3)), Slope((0, -1, 2))]
-    got = _coefficient_box_points(basis, 3)
-    assert got == list(recursive_box_points(basis, 3))
-    assert (0, 0, 0) in got and (-2, 0, 5) not in got
-    assert _coefficient_box_points([], 3) == []
+    for basis in (
+        [Slope((-2, 1, 3)), Slope((0, -1, 2))],
+        [Slope((2, -1, -3)), Slope((0, 1, -2))],
+        [Slope((-2, 1, 3)), Slope((0, 1, -2))],
+    ):
+        got = list(_coefficient_box_points(basis, 3))
+        assert got == sorted(recursive_box_points(basis, 3))
+        assert (0, 0, 0) in got and (-2, 0, 5) not in got
+    assert list(_coefficient_box_points([], 3)) == []
+
+
+def test_box_walk_is_lazy():
+    basis = [Slope((-1, 0, 0)), Slope((0, -1, 0)), Slope((0, 0, -1))]
+    walk = _coefficient_box_points(basis, 10**6)
+    assert next(walk) == (-(10**6),) * 3
+    assert next(walk) == (-(10**6), -(10**6), 1 - 10**6)
 
 
 def _random_presentations(seed, count):
@@ -301,6 +325,40 @@ def test_slope_basis_examples():
     assert [s.values for s in slope_basis(p)] == [(-1, 1)]
     q = Presentation(2, (parse_cyclic_word("x1 x2 x1 X2", 2),))
     assert [s.values for s in slope_basis(q)] == [(0, -1)]
+
+
+@st.composite
+def exponent_sum_matrices(draw):
+    """m x n integer matrices with m up to n + 2, often with zero rows,
+    duplicate rows or full rank (a rank-0 kernel)."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=n + 2))
+    extra = draw(st.sampled_from(("none", "zero", "duplicate", "identity")))
+    if extra == "zero":
+        rows.append([0] * n)
+    elif extra == "duplicate" and rows:
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    elif extra == "identity":
+        rows += [[int(i == j) for j in range(n)] for i in range(n)]
+    return n, rows
+
+
+def relator_with_exponent_sums(row, n):
+    """A cyclically reduced word whose exponent sums are `row`: each
+    generator's letters in one block, or a commutator for a zero row."""
+    letters = [g if e > 0 else -g for g, e in enumerate(row, 1) for _ in range(abs(e))]
+    return CyclicWord(letters or [1, n, -1, -n], n)
+
+
+@given(exponent_sum_matrices())
+@settings(max_examples=300)
+def test_slope_basis_matches_smith_kernel_oracle(case):
+    n, rows = case
+    assume(n > 1 or all(any(r) for r in rows))  # rank 1 has no zero relator
+    p = Presentation(n, tuple(relator_with_exponent_sums(r, n) for r in rows))
+    assert abelianization_matrix(p).rows == tuple(tuple(r) for r in rows)
+    assert [s.values for s in slope_basis(p)] == smith_kernel_basis(rows, n)
 
 
 def test_slope_basis_spans_the_kernel():

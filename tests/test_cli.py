@@ -2,10 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import relators
 from relators.cli import main, to_jsonable
 from relators.experiment import run_experiment
 from relators.words import parse_cyclic_word, parse_word
@@ -14,6 +19,21 @@ from relators.words import parse_cyclic_word, parse_word
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["tau-count", "--n", "2", "--l", "3"]
+    src = str(pathlib.Path(relators.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "relators", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_cli(capsys, *argv)[1]
 
 
 def test_sample_is_seeded(capsys, tmp_path):

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from relators import smallcanc
+from relators import experiment, smallcanc
+from relators.abelian import enumerate_kernel_slopes
 from relators.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -22,7 +23,8 @@ from relators.experiment import (
     tau_count,
     wilson_interval,
 )
-from relators.words import parse_cyclic_word
+from relators.mincond import MinConditionWitness, check_minimum_condition
+from relators.words import Presentation, parse_cyclic_word
 
 
 def test_derive_seed_frozen():
@@ -106,6 +108,37 @@ def test_evaluate_predicate_min_condition():
     assert evaluate_predicate(spec, 2, (parse_cyclic_word("x1 x2 X1 X2", 2),))
     doubled = (parse_cyclic_word("x1 x2 X1 X2 x1 x2 X1 X2", 2),)
     assert not evaluate_predicate(spec, 2, doubled)
+
+
+def test_lazy_min_condition_checks_the_listed_slopes(monkeypatch):
+    # the old verdict: any(...) over the full sorted list of primitive slopes
+    seen = []
+
+    def counting(relators, phi):
+        seen.append(phi.values)
+        return check_minimum_condition(relators, phi)
+
+    monkeypatch.setattr(experiment, "check_minimum_condition", counting)
+    verdicts = []
+    for n, m, length, box in ((2, 1, 6, 3), (3, 1, 16, 4), (4, 2, 12, 4), (3, 2, 10, 2)):
+        spec = PredicateSpec("min-condition", box=box)
+        for trial in range(25):
+            tup = sample_tuple(n, m, length, random.Random(derive_seed(3, length, trial)))
+            listed = enumerate_kernel_slopes(Presentation(n, tup), box, primitive_only=True)
+            checked = []
+            for phi in listed:
+                checked.append(phi.values)
+                if isinstance(check_minimum_condition(tup, phi), MinConditionWitness):
+                    break
+            want = any(
+                isinstance(check_minimum_condition(tup, phi), MinConditionWitness)
+                for phi in listed
+            )
+            seen.clear()
+            assert evaluate_predicate(spec, n, tup) == want
+            assert seen == checked  # the same calls, in the same order
+            verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_evaluate_predicate_slope_classes():

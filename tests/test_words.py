@@ -15,6 +15,7 @@ from relators.words import (
     Presentation,
     Substitution,
     Word,
+    _walk,
     count_cyclically_reduced,
     cyclic_reduce,
     enumerate_cyclically_reduced,
@@ -185,6 +186,44 @@ def test_sampler_streams_match_frozen_digests():
         2: "91cd32f7de453cd922e2a498a9419df026f0889482896883022e738641ff3bca",
         3: "58fc8be337a90948229aa96f030efb34366aa7d4e62d497c007a6a6c0ed59d8f",
     }
+
+
+def randrange_walk(rank, length, rng):
+    """Oracle: the non-backtracking walk with one ``rng.randrange`` call per
+    letter, over the alphabet minus the previous letter's inverse."""
+    alphabet = [g for i in range(1, rank + 1) for g in (i, -i)]
+    letters = []
+    for _ in range(length):
+        if letters:
+            allowed = [a for a in alphabet if a != -letters[-1]]
+            letters.append(allowed[rng.randrange(2 * rank - 1)])
+        else:
+            letters.append(alphabet[rng.randrange(2 * rank)])
+    return tuple(letters)
+
+
+def randrange_cyclic(rank, length, rng):
+    while True:
+        w = randrange_walk(rank, length, rng)
+        if w[0] != -w[-1]:
+            return w
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4, 7, 8))
+def test_getrandbits_sampler_reads_the_randrange_stream(rank):
+    # the draw's bit width changes across these ranks, and 2n = 8 at rank 4
+    # is a power of two; equal final states mean equal bits consumed
+    for seed in range(20):
+        for length in (0, 1, 2, 5, 100):
+            cases = [(_walk, randrange_walk), (sample_reduced, randrange_walk)]
+            if rank >= 2 and length >= 1:
+                cases.append((sample_cyclically_reduced, randrange_cyclic))
+            for sampler, oracle in cases:
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = sampler(rank, length, got_rng)
+                got = got if isinstance(got, tuple) else got.letters
+                assert got == oracle(rank, length, want_rng)
+                assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_trusted_words_equal_validated_ones():
