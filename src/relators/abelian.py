@@ -222,11 +222,34 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def matrix_rank(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
-    """Rank of an integer matrix: the size of its Hermite row basis."""
+    """Rank of an integer matrix, by forward elimination with gcd-normalised
+    rows: each row is cleared, column by column, against the pivot rows
+    kept so far, and becomes the pivot row of the first column it still
+    leads.  The rank is the number of pivot rows; nothing is back-reduced.
+
+    >>> matrix_rank([[2, 4], [1, 2], [0, 0]]), matrix_rank([[2, 4], [1, 3]])
+    (1, 2)
+    """
     n = ncols if ncols is not None else (len(rows[0]) if rows else 0)
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    return len(hermite_row_basis(rows))
+    pivots: dict[int, list[int]] = {}  # column -> the row leading there
+    for r in rows:
+        r = list(map(int, r))
+        for j in range(n):
+            c = r[j]
+            if not c:
+                continue
+            p = pivots.get(j)
+            if p is None:
+                pivots[j] = r
+                break
+            a = p[j]
+            r = [a * x - c * y for x, y in zip(r, p)]
+            g = math.gcd(*r)
+            if g > 1:
+                r = [x // g for x in r]
+    return len(pivots)
 
 
 def first_betti_number(p: Presentation) -> int:

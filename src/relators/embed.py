@@ -19,7 +19,11 @@ psi_min(i) = phi_min(i) - N(N+1)/2.
 
 N is searched upward; every claimed property is re-checked by the piece
 scanner and the minimum-condition decision procedure rather than trusted
-from the construction.
+from the construction.  A height may be rejected without a scan, but only
+on a piece found by comparing two slices of a w-word (`_visible_piece`);
+only the scanner accepts one.  The invariants of the construction are
+checked by raising `AssertionError`, not by `assert`, so they hold under
+``python -O`` too.
 """
 
 from __future__ import annotations
@@ -34,13 +38,22 @@ from .mincond import (
     MinConditionFailure,
     MinConditionWitness,
     Relabeling,
+    _height_steps,
     check_minimum_condition,
     height_profile,
     standard_witness,
     standardize,
 )
 from .smallcanc import PieceReport, check_small_cancellation, longest_piece
-from .words import CyclicWord, Presentation, Substitution, Word, cyclic_reduce, reduce_letters
+from .words import (
+    CyclicWord,
+    Presentation,
+    Substitution,
+    Word,
+    _cyclic_core,
+    _trusted,
+    reduce_letters,
+)
 
 
 class BlockHeightExceeded(RuntimeError):
@@ -135,13 +148,27 @@ def build_w_words(n: int, m: int, phi: Slope, big_n: int) -> tuple[Word, ...]:
             letters.extend(b)
             letters.extend(y_block)
         w = Word(letters, target)
-        assert w.is_cyclically_reduced()
+        if not w.is_cyclically_reduced():
+            raise AssertionError(f"w_{i} is not cyclically reduced")
+        if -w.exponent_sum(z) != phi.of_generator(i):  # psi is -1 on z, 0 on y
+            raise AssertionError(f"psi(w_{i}) != phi(x_{i})")
         out.append(w)
-    psi = _target_slope(m)
-    assert all(
-        psi.of_word(w) == phi.of_generator(i) for i, w in enumerate(out, start=1)
-    )
     return tuple(out)
+
+
+def _visible_piece(w: Word, big_n: int, y_len: int) -> bool:
+    """Whether w_i (i < n), with y-blocks of y_len letters, fails C'(1/12)
+    on sight: P = z^(N-2) Y z^(N-1) starts block N-2 and again one letter
+    into block N-1, so it is a piece of w_i, and it breaks C'(1/12) once
+    12 |P| >= |w_i|.  The two slices are compared, not assumed equal, so
+    True is always a checked rejection of N."""
+    size = 2 * big_n - 3 + y_len
+    if big_n < 3 or 12 * size < len(w):
+        return False
+    # block k (from 1) starts after blocks 1..k-1 and their y-blocks
+    a = (big_n - 3) * (big_n - 2) // 2 + (big_n - 3) * y_len
+    b = (big_n - 2) * (big_n - 1) // 2 + (big_n - 2) * y_len + 1
+    return w.letters[a : a + size] == w.letters[b : b + size]
 
 
 def _target_slope(m: int) -> Slope:
@@ -195,12 +222,17 @@ def embed_presentation(
                 )
 
     psi = _target_slope(m)
+    z = m + 1
+    step = _height_steps(psi)
     phi_min = tuple(height_profile(r, std_phi).min_height for r in relators)
     n_start = max(2, max(abs(v) for v in std_phi.values) + 1)
+    y_lens = [1 if i <= m else i - m + 1 for i in range(1, n)]
 
     for big_n in range(n_start, max_block_height + 1):
         words = build_w_words(n, m, std_phi, big_n)
-        w_cyclic = tuple(CyclicWord(w.letters, m + 1) for w in words)
+        if any(_visible_piece(w, big_n, y) for w, y in zip(words, y_lens)):
+            continue  # a checked piece rejects N; only the scan below accepts one
+        w_cyclic = tuple(CyclicWord(w.letters, z) for w in words)
         w_ok, w_rep = check_small_cancellation(w_cyclic, Fraction(1, 12))
         if not w_ok:
             continue
@@ -213,11 +245,11 @@ def embed_presentation(
         ok_profile = True
         for i, raw in enumerate(raws):
             reduced = reduce_letters(raw)
-            base, _ = cyclic_reduce(Word(reduced, m + 1))
-            target.append(base)
+            lo, hi = _cyclic_core(reduced)
+            target.append(_trusted(CyclicWord, reduced[lo:hi], z))
             stats_raw.append(len(raw))
-            stats_cancel.append((len(raw) - len(base)) // 2)
-            psi_min = min(accumulate(map(psi.of_letter, raw), initial=0))
+            stats_cancel.append((len(raw) - (hi - lo)) // 2)
+            psi_min = min(accumulate(map(step.__getitem__, raw), initial=0))
             if psi_min != phi_min[i] - big_n * (big_n + 1) // 2:
                 ok_profile = False
         if not ok_profile:
@@ -249,9 +281,12 @@ def embed_presentation(
         )
         for i, s in enumerate(target):
             l_i = len(relators[i])
-            assert stats.lengths[i] >= l_i * min(len(w) for w in words) - 2 * stats_cancel[i]
-            assert nsq * l_i * (1 - 3 * delta) <= len(s) <= nsq * l_i * (1 + 2 * delta)
-            assert psi.of_word(s) == 0
+            if stats.lengths[i] < l_i * min(len(w) for w in words) - 2 * stats_cancel[i]:
+                raise AssertionError(f"s_{i + 1} is shorter than its cancellation allows")
+            if not nsq * l_i * (1 - 3 * delta) <= len(s) <= nsq * l_i * (1 + 2 * delta):
+                raise AssertionError(f"|s_{i + 1}| = {len(s)} is outside its length band")
+            if s.exponent_sum(z):
+                raise AssertionError(f"psi(s_{i + 1}) != 0")
 
         plan = EmbeddingPlan(
             source=p,

@@ -70,6 +70,16 @@ class LowerSection:
         )
 
 
+def _height_steps(phi: Slope) -> dict[int, int]:
+    """phi of every letter: the height step along an edge carrying it."""
+    return {s * g: s * v for g, v in enumerate(phi.values, 1) for s in (1, -1)}
+
+
+def _heights(r: CyclicWord, step: dict[int, int]) -> tuple[int, ...]:
+    """The partial sums of `step` along r: its vertex heights, then phi(r)."""
+    return tuple(accumulate(map(step.__getitem__, r.letters), initial=0))
+
+
 def height_profile(r: CyclicWord, phi: Slope) -> HeightProfile:
     """Partial sums of phi along the relator, basepoint at height 0.
 
@@ -77,8 +87,7 @@ def height_profile(r: CyclicWord, phi: Slope) -> HeightProfile:
     >>> height_profile(pc("x2 x1 X2 X1"), Slope((0, -1))).vertex_heights
     (0, -1, -1, 0)
     """
-    step = {s * g: s * v for g, v in enumerate(phi.values, 1) for s in (1, -1)}
-    heights = tuple(accumulate(map(step.__getitem__, r.letters), initial=0))
+    heights = _heights(r, _height_steps(phi))
     if heights[-1] != 0:
         raise ValueError("slope does not annihilate the relator")
     return HeightProfile(r, phi, heights[:-1])
@@ -92,10 +101,18 @@ def lower_section(r: CyclicWord, phi: Slope) -> LowerSection:
     >>> sorted(ls.min_vertices), sorted(ls.flat_min_edges)
     ([1, 2], [1])
     """
-    h = height_profile(r, phi).vertex_heights
+    return _lower_section(height_profile(r, phi).vertex_heights)
+
+
+def _lower_section(h: tuple[int, ...]) -> LowerSection:
+    """The lower section of the vertex heights h of a relator cycle."""
     m = min(h)
     l = len(h)
-    verts = frozenset(v for v in range(l) if h[v] == m)
+    found, v = [], -1
+    for _ in range(h.count(m)):
+        v = h.index(m, v + 1)
+        found.append(v)
+    verts = frozenset(found)
     # phi of edge k is h[k+1] - h[k], so an edge between minimal vertices is flat
     edges = frozenset(k for k in verts if (k + 1) % l in verts)
     return LowerSection(verts, edges)
@@ -126,10 +143,11 @@ class MinConditionFailure:
         return False
 
 
-def _section_shape(r: CyclicWord, phi: Slope):
-    """Classify one relator: ('vertex'|'edge', {n-role: forced i-role}) or
-    a MinConditionFailure-shaped (reason, detail) tuple."""
-    ls = lower_section(r, phi)
+def _section_shape(r: CyclicWord, heights: tuple[int, ...]):
+    """Classify one relator by its vertex heights: ('vertex'|'edge',
+    {n-role: forced i-role}) or a MinConditionFailure-shaped (reason,
+    detail) tuple."""
+    ls = _lower_section(heights)
     l = len(r)
     nv, ne = len(ls.min_vertices), len(ls.flat_min_edges)
     if ls.component_count(l) != 1:
@@ -169,13 +187,17 @@ def _validated_shapes(relators: Sequence[CyclicWord], phi: Slope):
         raise ValueError("slope rank mismatch")
     if len(relators) >= n:
         raise ValueError("minimum condition needs fewer relators than generators")
+    step = _height_steps(phi)
+    profiles = []
     for idx, r in enumerate(relators):
-        if phi.of_word(r) != 0:
+        heights = _heights(r, step)
+        if heights[-1] != 0:  # the closing height is phi(r)
             raise ValueError(f"slope does not annihilate relator {idx}")
+        profiles.append(heights[:-1])
 
     shapes: list[tuple[str, dict[int, int]]] = []
-    for idx, r in enumerate(relators):
-        tag, info = _section_shape(r, phi)
+    for idx, (r, heights) in enumerate(zip(relators, profiles)):
+        tag, info = _section_shape(r, heights)
         if tag is None:
             reason, detail = info
             return MinConditionFailure(idx, reason, detail)

@@ -13,11 +13,13 @@ relators r carrying the two occurrences; lambda is an exact rational and the
 comparison is done in integers.
 
 The search sorts the cyclic rotations of the oriented relator texts
-themselves (no doubled copies, no separators) by numpy prefix doubling, and
-one vectorized pass over the sorted rotations yields every pair maximum, so
-the verdict and the longest-piece report come from a single scan and relator
-tuples with hundreds of thousands of letters stay tractable; the quadratic
-window scan is kept as a test oracle.
+themselves (no doubled copies, no separators) by numpy prefix doubling
+(Manber-Myers 1993), starting from one sort of packed codes that each hold
+a rotation's first 2^k letters, and one vectorized pass over the sorted
+rotations yields every pair maximum, so the verdict and the longest-piece
+report come from a single scan and relator tuples with hundreds of
+thousands of letters stay tractable; the quadratic window scan and the
+unpacked doubling scan are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -69,17 +71,29 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     Every rotation of every text is sorted by prefix doubling on cyclic
     shifts (rank level j orders the first 2^j letters), stopping once the
     ranks are distinct or the sorted prefix covers the longest text, which
-    bounds every piece.  The LCP of sorted neighbours comes from stepping
-    down the kept levels; a pair of texts shares a piece of length k exactly
-    when some occurrence of one follows an occurrence of the other with no
-    neighbour LCP below k in between, so one running minimum per text that
-    restarts at each of its occurrences finds every pair maximum.
+    bounds every piece.  The fine levels are packed: with b bits per dense
+    letter rank, the first 2^k letters of a rotation fit in one int64 code
+    (largest k with b * 2^k <= 62 and 2^(k-1) below the longest text), and
+    one sort of those codes gives level k directly; levels below k are never
+    built.  The LCP of sorted neighbours comes from stepping down the kept
+    levels to k and reading the last (fewer than 2^k) letters off the XOR of
+    the two packed codes.  A pair of texts shares a piece of length k
+    exactly when some occurrence of one follows an occurrence of the other
+    with no neighbour LCP below k in between, so one running minimum per
+    text that restarts at each of its occurrences finds every pair maximum.
+
+    The packed codes order the rotations as the level-k doubling keys do,
+    so the sort permutation, and with it every table and witness, is the
+    plain doubling scan's, proper powers' tied rotations included.
 
     Letters are ranked as (tuple index, letter) pairs, so every rotation of
     one tuple sorts before every rotation of the next and the LCP between
     them is 0: a running minimum never carries a piece across tuples.  One
     scan per local text index i serves every tuple at once, capped by the
     length of text i of each rotation's own tuple."""
+    n = 2 * sum(len(r) for relators in tuples for r in relators)
+    if n >= 1 << 31:
+        raise ValueError(f"{n} letters: the piece scan takes fewer than 2^31")
     parts, group, local = [], [], []  # per text: its tuple, its index there
     for g, relators in enumerate(tuples):
         for r in relators:
@@ -90,7 +104,6 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     lengths = [len(p) for p in parts]
     size = np.asarray(lengths, dtype=np.int64)
     first = np.cumsum(size) - size
-    n = int(size.sum())
     text = np.repeat(np.arange(len(parts)), size)
     top = max(lengths)
     group = np.asarray(group)
@@ -101,18 +114,30 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     codes += span // 2
     if batched:
         codes += np.repeat(group * span, size)
-    rank = (np.cumsum(np.bincount(codes) > 0) - 1)[codes]  # dense (tuple, letter) ranks
-    step = np.arange(1, n + 1)
-    step[first + size - 1] = first  # the next letter, cyclically
-    levels, jumps = [rank], [step]  # level j: rank of 2^j letters, jump 2^j letters
-    order = np.argsort(rank)
-    while 1 << (len(levels) - 1) < top and rank[order[-1]] < n - 1:
-        key = rank * n + rank[jumps[-1]]
+    present = np.cumsum(np.bincount(codes) > 0)
+    packed = (present - 1)[codes]  # dense (tuple, letter) ranks
+    # every text comes with its inverse, so there are >= 2 ranks and b >= 1
+    b = (int(present[-1]) - 1).bit_length()
+    jump = np.arange(1, n + 1, dtype=np.int32)
+    jump[first + size - 1] = first  # the next letter, cyclically
+    k = 0  # packed holds the first 2^k letters, first letter highest
+    while b << (k + 1) <= 62 and 1 << k < top:
+        packed = (packed << (b << k)) | packed[jump]
+        jump = jump[jump]
+        k += 1
+
+    def ranked(key):
         order = np.argsort(key)
         sorted_key = key[order]
-        rank = np.empty(n, dtype=np.int64)
+        rank = np.empty(n, dtype=np.int32)
         rank[order[0]] = 0
         rank[order[1:]] = np.cumsum(sorted_key[1:] != sorted_key[:-1])
+        return order, rank
+
+    order, rank = ranked(packed)
+    levels, jumps = [rank], [jump]  # level k+j: rank of 2^(k+j) letters, jump as far
+    while 1 << (k + len(levels) - 1) < top and rank[order[-1]] < n - 1:
+        order, rank = ranked(rank.astype(np.int64) * n + rank[jumps[-1]])
         levels.append(rank)
         jumps.append(jumps[-1][jumps[-1]])
 
@@ -120,9 +145,14 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     lcp = np.zeros(n - 1, dtype=np.int64)
     for j in range(len(levels) - 1, -1, -1):
         same = np.flatnonzero(levels[j][pa] == levels[j][pb])
-        lcp[same] += 1 << j
+        lcp[same] += 1 << (k + j)
         pa[same] = jumps[j][pa[same]]
         pb[same] = jumps[j][pb[same]]
+    diff = packed[pa] ^ packed[pb]  # the first differing bit ends the LCP
+    for s in (1, 2, 4, 8, 16, 32):
+        diff |= diff >> s
+    bits = np.bitwise_count(diff).astype(np.int64)  # bit length of the XOR
+    lcp += np.minimum(((b << k) - bits) // b, (1 << k) - 1)
     gap = np.minimum(np.concatenate(([0], lcp)), top)  # gap[s]: LCP of sorted s-1, s
 
     owner = text[order]

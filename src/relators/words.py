@@ -297,13 +297,21 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     ((2,), (1,))
     """
     lts = w.letters
-    lo, hi = 0, len(lts)
-    while hi - lo >= 2 and lts[lo] == -lts[hi - 1]:
+    lo, hi = _cyclic_core(lts)
+    return _trusted(CyclicWord, lts[lo:hi], w.rank), _trusted(Word, lts[:lo], w.rank)
+
+
+def _cyclic_core(letters: Sequence[int]) -> tuple[int, int]:
+    """The bounds of the cyclically reduced core letters[lo:hi] of a freely
+    reduced letter tuple: letters[:lo] is the conjugator, and letters[hi:]
+    its inverse.  Raises if the core is empty."""
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
         lo += 1
         hi -= 1
     if lo == hi:
         raise ValueError("word cyclically reduces to the empty word")
-    return CyclicWord(lts[lo:hi], w.rank), Word(lts[:lo], w.rank)
+    return lo, hi
 
 
 def substitute(s: Substitution, w: Word) -> Word:

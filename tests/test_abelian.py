@@ -162,6 +162,36 @@ def test_rank_matches_smith_and_rational_oracles(case):
     assert matrix_rank(rows, n) == snf_rank(rows, n) == rank_over_q(rows, n)
 
 
+@st.composite
+def rank_matrices(draw):
+    """Integer matrices with zero rows, duplicate and scaled rows, and more
+    rows than columns; entries up to 40 so gcd normalisation has work."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-40, 40)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "scaled", "sum"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * n)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "scaled":
+            c = draw(st.integers(-5, 5))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+    return draw(st.permutations(rows)), n
+
+
+@given(rank_matrices())
+@settings(max_examples=300)
+def test_forward_rank_matches_rational_elimination(case):
+    rows, n = case
+    assert matrix_rank(rows, n) == rank_over_q(rows, n)
+    assert matrix_rank(rows, n) == len(hermite_row_basis(rows))
+
+
 def test_rank_rejects_ragged_matrices():
     with pytest.raises(ValueError, match="ragged matrix"):
         matrix_rank([[1, 2], [3]])

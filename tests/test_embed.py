@@ -1,9 +1,18 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relators.abelian import Slope, enumerate_valid_slopes
+import relators
+from relators import embed
+
+from relators.abelian import Slope, enumerate_kernel_slopes, enumerate_valid_slopes
 from relators.embed import build_w_words, embed_presentation
 from relators.mincond import check_minimum_condition, height_profile, standard_witness
 from relators.smallcanc import check_small_cancellation, longest_piece
@@ -189,3 +198,124 @@ def test_embed_guaranteed_random_source():
     psi = plan.target_slope
     for s in report.target:
         assert psi.of_word(Word(s.letters, plan.target_rank)) == 0
+
+
+@st.composite
+def standard_forms(draw):
+    """(n, m, phi): n = 3-5, 1 <= m <= n-2, phi >= 0 on x_1..x_{n-1} and
+    negative on x_n, every |entry| at most 4."""
+    n = draw(st.integers(3, 5))
+    m = draw(st.integers(1, n - 2))
+    values = draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1))
+    return n, m, Slope(values + [draw(st.integers(-4, -1))])
+
+
+@given(standard_forms())
+@settings(max_examples=40, deadline=None)
+def test_block_height_skip_only_rejects_failing_heights(case):
+    n, m, phi = case
+    y_lens = [1 if i <= m else i - m + 1 for i in range(1, n)]
+    n_start = max(2, max(abs(v) for v in phi.values) + 1)
+    for big_n in range(n_start, 26):
+        words = build_w_words(n, m, phi, big_n)
+        if any(embed._visible_piece(w, big_n, y) for w, y in zip(words, y_lens)):
+            cyclic = tuple(CyclicWord(w.letters, m + 1) for w in words)
+            assert not check_small_cancellation(cyclic, Fraction(1, 12))[0], big_n
+
+
+def test_block_height_skip_rejects_only_small_heights():
+    # |P| = 2N - 3 + |Y| grows linearly and |w_i| quadratically, so the skip
+    # rejects N up to a point and never after: for w_1 here 12 (2N - 2) >=
+    # N^2 + 3N + 1 holds for N = 3..19, and the worked example's scan
+    # accepts N = 20
+    phi = Slope((0, 2, -1))
+    rejected = [
+        big_n
+        for big_n in range(3, 40)
+        if embed._visible_piece(build_w_words(3, 1, phi, big_n)[0], big_n, 1)
+    ]
+    assert rejected == list(range(3, 20))
+
+
+def _embed_cases():
+    rng = random.Random(1414)
+    cases = [(Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),)), Slope((0, 2, -1)), {})]
+    while len(cases) < 4:
+        r = sample_cyclically_reduced(3, 60, rng)
+        p = Presentation(3, (r,))
+        phi = next(
+            (s for s in enumerate_kernel_slopes(p, 6, primitive_only=True) if check_minimum_condition((r,), s)),
+            None,
+        )
+        if phi is not None:
+            cases.append((p, phi, {}))
+    t = (parse_cyclic_word("x4 x1 X4 X1", 4), parse_cyclic_word("x4 x2 X4 x3 X2 X3", 4))
+    cases.append((Presentation(4, t), Slope((0, 0, 1, -1)), {}))
+    while len(cases) < 6:  # a guaranteed embedding: C'(1/7) source of length 100
+        r = sample_cyclically_reduced(3, 100, rng)
+        p = Presentation(3, (r,))
+        if not check_small_cancellation((r,), Fraction(1, 7))[0]:
+            continue
+        phi = next(
+            (s for s in enumerate_kernel_slopes(p, 8, primitive_only=True) if check_minimum_condition((r,), s)),
+            None,
+        )
+        if phi is not None:
+            cases.append((p, phi, {"epsilon": Fraction(1), "guarantee_c16": True}))
+    return cases
+
+
+@pytest.mark.parametrize("p, phi, kwargs", _embed_cases())
+def test_block_height_skip_keeps_plan_and_report(monkeypatch, p, phi, kwargs):
+    calls = []
+    skip = embed._visible_piece
+    monkeypatch.setattr(embed, "_visible_piece", lambda *a: calls.append(skip(*a)) or calls[-1])
+    with_skip = embed_presentation(p, phi, **kwargs)
+    assert any(calls)  # the skip rejected some height
+    monkeypatch.setattr(embed, "_visible_piece", lambda *a: False)
+    assert embed_presentation(p, phi, **kwargs) == with_skip
+
+
+def test_checks_survive_python_dash_O():
+    """The construction's invariants are checked by raising, so `python -O`,
+    which strips `assert` statements, still refuses a corrupted result."""
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from relators import embed, mincond
+        from relators.abelian import Slope
+        from relators.words import Presentation, Word, parse_cyclic_word, reduce_letters
+
+        assert False, "this line is stripped under -O"
+
+        # a w-word that loses its first z letter breaks psi(w_i) = phi(x_i)
+        embed.Word = lambda letters, rank: Word(tuple(letters)[1:], rank)
+        try:
+            embed.build_w_words(3, 1, Slope((0, 2, -1)), 5)
+        except AssertionError as exc:
+            print("w-words:", exc)
+        embed.Word = Word
+
+        # a target read twice over leaves its length band
+        embed.reduce_letters = lambda raw: reduce_letters(raw) * 2
+        embed.standard_witness = lambda target, psi: mincond.MinConditionWitness(2, (1,), ("edge",), (1, 1))
+        p = Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),))
+        try:
+            embed.embed_presentation(p, Slope((0, 2, -1)))
+        except AssertionError as exc:
+            print("target:", exc)
+        """
+    )
+    src = str(pathlib.Path(relators.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    words, target = done.stdout.splitlines()
+    assert words == "w-words: psi(w_1) != phi(x_1)"
+    assert target.startswith("target: |s_1| = ") and target.endswith(" is outside its length band")

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -331,3 +332,163 @@ def test_verdicts_match_check_small_cancellation():
     for lam in (Fraction(1, 6), Fraction(1, 3), Fraction(1, 1)):
         assert smallcanc._verdicts(batch, lam) == [check_small_cancellation(t, lam)[0] for t in batch]
 
+
+
+def doubling_pair_maxima_batch(tuples):
+    """Oracle: the plain prefix-doubling scan, one argsort per level from
+    the single letters up, every level and jump kept in int64, and the LCP
+    descent stepping down every level to level 0.  The packed scan must
+    return the same triples, witness offsets included."""
+    parts, group, local = [], [], []  # per text: its tuple, its index there
+    for g, relators in enumerate(tuples):
+        for r in relators:
+            fwd = np.asarray(r.letters, dtype=np.int64)
+            parts += (fwd, -fwd[::-1])
+        group += [g] * (2 * len(relators))
+        local += range(2 * len(relators))
+    lengths = [len(p) for p in parts]
+    size = np.asarray(lengths, dtype=np.int64)
+    first = np.cumsum(size) - size
+    n = int(size.sum())
+    text = np.repeat(np.arange(len(parts)), size)
+    top = max(lengths)
+    group = np.asarray(group)
+    batched = len(tuples) > 1
+
+    codes = np.concatenate(parts)
+    span = 2 * int(np.abs(codes).max()) + 1
+    codes += span // 2
+    if batched:
+        codes += np.repeat(group * span, size)
+    rank = (np.cumsum(np.bincount(codes) > 0) - 1)[codes]  # dense (tuple, letter) ranks
+    step = np.arange(1, n + 1)
+    step[first + size - 1] = first  # the next letter, cyclically
+    levels, jumps = [rank], [step]  # level j: rank of 2^j letters, jump 2^j letters
+    order = np.argsort(rank)
+    while 1 << (len(levels) - 1) < top and rank[order[-1]] < n - 1:
+        key = rank * n + rank[jumps[-1]]
+        order = np.argsort(key)
+        sorted_key = key[order]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum(sorted_key[1:] != sorted_key[:-1])
+        levels.append(rank)
+        jumps.append(jumps[-1][jumps[-1]])
+
+    pa, pb = order[:-1].copy(), order[1:].copy()
+    lcp = np.zeros(n - 1, dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        same = np.flatnonzero(levels[j][pa] == levels[j][pb])
+        lcp[same] += 1 << j
+        pa[same] = jumps[j][pa[same]]
+        pb[same] = jumps[j][pb[same]]
+    gap = np.minimum(np.concatenate(([0], lcp)), top)  # gap[s]: LCP of sorted s-1, s
+
+    owner = text[order]
+    offs = order - first[owner]
+    at = np.empty(n, dtype=np.int64)
+    at[order] = np.arange(n)  # sorted index of each rotation, text by text
+    big = top + 1
+    found: list[dict[tuple[int, int], tuple[int, int, tuple[int, int]]]] = [{} for _ in tuples]
+    if batched:
+        own_group, own_local = group[owner], np.asarray(local)[owner]
+        text_len = np.zeros((len(tuples), max(local) + 1), dtype=np.int64)
+        text_len[group, local] = size  # |text i| of each tuple, 0 if it has none
+    else:  # one tuple: tuple 0 is a scalar index, and local index = text index
+        own_group, own_local, text_len = 0, owner, size[np.newaxis]
+    for i in range(max(local) + 1):
+        lt = text_len[own_group, i]
+        hit = own_local == i
+        seg = np.cumsum(np.concatenate(([False], hit[:-1])))  # restarts after each i
+        run = np.minimum.accumulate(gap - seg * big) + seg * big
+        cap = np.where(hit, lt - 1, np.minimum(size[owner], lt))
+        val = np.where(seg > 0, np.minimum(run, cap), 0)[at]
+        peak = np.maximum.reduceat(val, first)
+        where = np.minimum.reduceat(np.where(val == np.repeat(peak, size), at, n), first)
+        occ = np.flatnonzero(hit)
+        for u in np.flatnonzero(peak > 0).tolist():
+            s = int(where[u])
+            prev, cur = int(offs[occ[seg[s] - 1]]), int(offs[s])
+            v = local[u]
+            key, pair = ((i, v), (prev, cur)) if i <= v else ((v, i), (cur, prev))
+            cand = (-int(peak[u]), s, pair)
+            table = found[group[u]]
+            if key not in table or cand < table[key]:
+                table[key] = cand
+    return [
+        (
+            [len(r) for r in relators for _ in range(2)],
+            {k: -cand[0] for k, cand in table.items()},
+            {k: cand[2] for k, cand in table.items()},
+        )
+        for relators, table in zip(tuples, found)
+    ]
+
+
+@st.composite
+def scanner_tuples(draw, rank):
+    """1-3 relators over `rank`: fresh words up to 40 letters, one-letter
+    words, proper powers up to 80 letters, and rotated, inverted or
+    duplicated copies of an earlier relator (so neighbour LCPs run past
+    the packed prefix)."""
+    relators = [draw(cyclic_words(rank, max_length=40))]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["fresh", "letter", "power", "rotation", "inverse", "duplicate"]))
+        base = draw(st.sampled_from(relators))
+        if kind == "fresh":
+            relators.append(draw(cyclic_words(rank, max_length=40)))
+        elif kind == "letter":
+            relators.append(CyclicWord((draw(st.sampled_from([1, -1, rank, -rank])),), rank))
+        elif kind == "power":
+            root = draw(cyclic_words(rank, max_length=8))
+            relators.append(CyclicWord(root.letters * draw(st.integers(2, 80 // len(root))), rank))
+        elif kind == "rotation":
+            relators.append(base.rotation(draw(st.integers(0, len(base) - 1))))
+        elif kind == "inverse":
+            relators.append(base.inverse())
+        else:
+            relators.append(base)
+    return tuple(draw(st.permutations(relators)))
+
+
+@st.composite
+def scanner_batches(draw):
+    """Batches of 1 or 16 tuples (or a size between), ranks 2-130."""
+    count = draw(st.sampled_from([1, 16, draw(st.integers(2, 15))]))
+    ranks = st.one_of(st.integers(2, 4), st.integers(5, 130))
+    return [draw(scanner_tuples(draw(ranks))) for _ in range(count)]
+
+
+@given(scanner_batches())
+@settings(max_examples=60, deadline=None)
+def test_packed_scan_matches_doubling_oracle(batch):
+    assert smallcanc._pair_maxima_batch(batch) == doubling_pair_maxima_batch(batch)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [(CyclicWord((1, 2) * 40, 2),)],  # (x1 x2)^40: every rotation ties its shift by 2
+        [(CyclicWord((1,), 2),)],  # one letter: level 0 is the only level
+        [(CyclicWord((1,), 2), CyclicWord((-2,), 2))],
+        [(CyclicWord((1, 2, 1, -2) * 9, 2), CyclicWord((2, 1, -2, 1) * 9, 2))],
+        [(CyclicWord((1, 2) * 40, 2),), (CyclicWord((2, 1) * 40, 2),)] * 8,
+        [(CyclicWord((130, -1, 7) * 20, 130), CyclicWord((-7, 1, -130) * 20, 130))],
+    ],
+)
+def test_packed_scan_matches_doubling_oracle_on_powers(batch):
+    assert smallcanc._pair_maxima_batch(batch) == doubling_pair_maxima_batch(batch)
+
+
+def test_packed_scan_refuses_2_to_the_31_letters():
+    # the letter count is checked before any array is built
+    class Long:
+        letters = ()
+
+        def __len__(self):
+            return 1 << 29
+
+    with pytest.raises(ValueError, match="fewer than 2\\^31"):
+        smallcanc._pair_maxima_batch([(Long(), Long())])
+    with pytest.raises(ValueError, match="fewer than 2\\^31"):
+        smallcanc._pair_maxima_batch([(Long(),)] * 2)
