@@ -186,16 +186,24 @@ def smith_normal_form(
 def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     """Row-style Hermite reduction of a lattice basis: staircase pivots,
     positive pivot entries, entries above each pivot reduced into [0, pivot).
-    Zero rows are dropped.  Canonical for the row lattice."""
+    Zero rows are dropped.  Canonical for the row lattice.
+
+    >>> hermite_row_basis([[2, 4], [3, 5], [0, 0]])
+    [[1, 1], [0, 2]]
+    """
     work = [list(map(int, v)) for v in vectors if any(v)]
     n = len(vectors[0]) if vectors else 0
     basis: list[list[int]] = []
-    pivot_of: list[int] = []
     # sweep columns left to right; rows in `work` are zero left of the
     # current column, so the pivot columns come out strictly increasing
     for j in range(n):
-        live = [r for r in work if r[j] != 0]
-        work = [r for r in work if r[j] == 0]
+        if not work:
+            break
+        live: list[list[int]] = []
+        rest: list[list[int]] = []
+        for r in work:
+            (live if r[j] else rest).append(r)
+        work = rest
         if not live:
             continue
         piv = live.pop()
@@ -207,17 +215,15 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
                 piv, other = other, piv
             if any(other):
                 work.append(other)
-        basis.append(piv)
-        pivot_of.append(j)
-    for k, (row, j) in enumerate(zip(basis, pivot_of)):
-        if row[j] < 0:
-            basis[k] = [-a for a in row]
-    for k in range(len(basis)):
-        j = pivot_of[k]
-        for i in range(k):
-            q = basis[i][j] // basis[k][j]
+        if piv[j] < 0:
+            piv = [-a for a in piv]
+        # reduce the earlier rows above this pivot; later pivot rows are
+        # zero in column j, so column j stays reduced
+        for i, row in enumerate(basis):
+            q = row[j] // piv[j]
             if q:
-                basis[i] = [a - q * c for a, c in zip(basis[i], basis[k])]
+                basis[i] = [a - q * c for a, c in zip(row, piv)]
+        basis.append(piv)
     return basis
 
 

@@ -4,10 +4,12 @@ output.
 
 Per-trial seeds are derived from (master seed, length, trial index) by
 hashing, so results are reproducible and independent of the worker count;
-rows are reduced in trial order.  Exhaustive mode reports exact fractions;
-Monte Carlo mode reports the point estimate with a Wilson 95% interval.
-Wall-clock columns default to 0 so that identical configurations produce
-byte-identical CSV; timing is opt-in.
+rows are reduced in trial order.  Exhaustive mode reports exact fractions,
+deciding one tuple per orbit under rotating and permuting the relators and
+weighting it by the orbit's size; Monte Carlo mode reports the point
+estimate with a Wilson 95% interval.  Wall-clock columns default to 0 so
+that identical configurations produce byte-identical CSV; timing is
+opt-in.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .abelian import (
     _box_slopes,
@@ -41,6 +43,7 @@ from .words import (
     Presentation,
     count_cyclically_reduced,
     enumerate_cyclically_reduced,
+    enumerate_necklaces,
     sample_cyclically_reduced,
 )
 
@@ -207,6 +210,30 @@ def sample_tuple(
 def evaluate_predicate(
     spec: PredicateSpec, n: int, relators: Sequence[CyclicWord]
 ) -> bool:
+    """Whether the relator tuple has the property `spec` names.
+
+    Every verdict is unchanged when a relator is rotated or the relators
+    are permuted, which is what lets exhaustive mode decide one tuple per
+    orbit:
+
+    - c-prime: a piece position is (relator, orientation, cyclic offset);
+      rotating a relator shifts its offsets and permuting relators renames
+      them, a bijection of positions that keeps every cyclic subword and
+      every carrying relator's length, so the pieces and the bound match.
+    - b1: exponent sums count letters, so rotation keeps each row of the
+      exponent-sum matrix and permutation only reorders the rows; the rank
+      is unchanged.
+    - min-condition: the kernel slopes depend on the rows alone.  For a
+      kernel slope phi the heights of a rotated relator are the old ones
+      shifted and lowered by a constant (phi(r) = 0), so its lower section
+      moves rigidly with the same flanking letters and forced i-roles;
+      permuting the relators permutes the i-roles, whose existence and
+      distinctness, and so the first passing n-role, stay the same.
+    - slope-classes: the valid slopes depend on the rows alone.  A rotation
+      shifts the minimal vertices and flat edges of every slope by the same
+      amount, and a permutation reorders every signature alike, so two
+      slopes share a signature before iff they do after.
+    """
     relators = tuple(relators)
     m = len(relators)
     p = Presentation(n, relators)
@@ -229,12 +256,16 @@ def evaluate_predicate(
     raise ValueError(f"unknown predicate {spec.name}")
 
 
-def _successes(spec: PredicateSpec, n: int, tuples: Sequence[Sequence[CyclicWord]]) -> int:
-    """How many of the tuples satisfy the predicate; c-prime decides them all
-    in one batched piece scan."""
+def _successes(
+    spec: PredicateSpec, n: int, tuples: Sequence[Sequence[CyclicWord]], weights: Iterable[int]
+) -> int:
+    """The summed weights of the tuples that satisfy the predicate; c-prime
+    decides them all in one batched piece scan."""
     if spec.name == "c-prime":
-        return sum(_verdicts(tuples, spec.lam))
-    return sum(evaluate_predicate(spec, n, t) for t in tuples)
+        verdicts = _verdicts(tuples, spec.lam)
+    else:
+        verdicts = [evaluate_predicate(spec, n, t) for t in tuples]
+    return sum(itertools.compress(weights, verdicts))
 
 
 def _run_trials(args: tuple[PredicateSpec, int, int, int, int, int, int]) -> int:
@@ -245,7 +276,7 @@ def _run_trials(args: tuple[PredicateSpec, int, int, int, int, int, int]) -> int
         sample_tuple(n, m, length, random.Random(derive_seed(master, length, t)))
         for t in range(lo, hi)
     ]
-    return _successes(spec, n, tuples)
+    return _successes(spec, n, tuples, itertools.repeat(1))
 
 
 def _all_tuples(
@@ -254,11 +285,47 @@ def _all_tuples(
     """The number of ordered m-tuples of cyclically reduced length-l words
     and an iterator over them in lexicographic order; refused before any
     enumeration when the number exceeds the budget."""
+    total = _space(n, m, length, budget)
+    pool = list(enumerate_cyclically_reduced(n, length))
+    return total, itertools.product(pool, repeat=m)
+
+
+def _space(n: int, m: int, length: int, budget: int) -> int:
+    """The number of ordered m-tuples of cyclically reduced length-l words;
+    refused when it exceeds the budget."""
     total = count_cyclically_reduced(n, length) ** m
     if total > budget:
         raise ValueError(f"exhaustive space {total} exceeds budget {budget}")
-    pool = list(enumerate_cyclically_reduced(n, length))
-    return total, itertools.product(pool, repeat=m)
+    return total
+
+
+def _orbits(
+    n: int, m: int, length: int, budget: int
+) -> tuple[int, Iterator[tuple[tuple[CyclicWord, ...], int]]]:
+    """The number of ordered m-tuples, as `_all_tuples` counts and budgets
+    it, and an iterator over their orbits under rotating any relator and
+    permuting the relators: one (representative, orbit size) per multiset
+    of rotation classes.
+
+    A multiset with classes of periods p_1..p_m, each class c taken k_c
+    times, is the orbit of p_1 * ... * p_m * m! / prod(k_c!) ordered tuples.
+    Every orbit is counted once, so the sizes sum to the tuple count; the
+    iterator checks that when it is exhausted."""
+    total = _space(n, m, length, budget)
+    reps, periods = zip(*enumerate_necklaces(n, length))
+    orderings = math.factorial(m)
+
+    def orbits() -> Iterator[tuple[tuple[CyclicWord, ...], int]]:
+        counted = 0
+        for combo in itertools.combinations_with_replacement(range(len(reps)), m):
+            repeats = math.prod(math.factorial(len(list(g))) for _, g in itertools.groupby(combo))
+            size = math.prod([periods[c] for c in combo]) * orderings // repeats
+            counted += size
+            yield tuple([reps[c] for c in combo]), size
+        if counted != total:
+            raise AssertionError(f"orbit sizes sum to {counted}, not {total}")
+
+    return total, orbits()
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -278,9 +345,10 @@ def _experiment_row(cfg: ExperimentConfig, length: int, trial_map) -> Experiment
     `trial_map`, which yields their success counts in chunk order."""
     t0 = time.perf_counter()
     if cfg.mode == "exhaustive":
-        trials, tuples = _all_tuples(cfg.n, cfg.m, length, cfg.budget)
-        chunks = iter(lambda: tuple(itertools.islice(tuples, _CHUNK)), ())
-        successes = sum(_successes(cfg.predicate, cfg.n, chunk) for chunk in chunks)
+        # one predicate call per orbit, weighted by the orbit's size
+        trials, orbits = _orbits(cfg.n, cfg.m, length, cfg.budget)
+        chunks = iter(lambda: tuple(itertools.islice(orbits, _CHUNK)), ())
+        successes = sum(_successes(cfg.predicate, cfg.n, *zip(*chunk)) for chunk in chunks)
         est = Fraction(successes, trials)
         estimate = (est.numerator, str(est.denominator), None, None)
     else:

@@ -349,6 +349,51 @@ def enumerate_cyclically_reduced(rank: int, length: int) -> Iterator[CyclicWord]
     return words()
 
 
+def enumerate_necklaces(rank: int, length: int) -> Iterator[tuple[CyclicWord, int]]:
+    """Yield one cyclically reduced word per rotation class, as (least
+    rotation, period), in the lexicographic order of
+    `enumerate_cyclically_reduced`; the period is the size of the class.
+
+    FKM generation (Ruskey-Savage-Wang 1992) of the prenecklaces over the
+    letter order: a prefix a_1..a_t whose longest Lyndon prefix has length
+    p is extended by a_{t+1-p} (keeping p) or by any later letter (p becomes
+    t+1), and a full prefix is a necklace of period p iff p divides the
+    length.  A prefix of a necklace is a prenecklace, so cutting every
+    prefix whose last two letters are inverse loses no reduced necklace;
+    the wrap (last letter against first) is checked at full length.
+
+    >>> [(format_word(w), p) for w, p in enumerate_necklaces(1, 2)]
+    [('x1 x1', 1), ('X1 X1', 1)]
+    >>> [(format_word(w), p) for w, p in enumerate_necklaces(2, 2)][:3]
+    [('x1 x1', 1), ('x1 x2', 2), ('x1 X2', 2)]
+    """
+    if rank < 1 or length < 1:
+        raise ValueError("rank and length must be at least 1")
+    alphabet = _letters_in_order(rank)
+    k = len(alphabet)
+
+    def necklaces() -> Iterator[tuple[CyclicWord, int]]:
+        # a[t] is the letter index at position t (1-based; a[0] is unused);
+        # index i ^ 1 is the inverse of index i.  A stack entry (t, p, i)
+        # sets a[t] = i with Lyndon-prefix length p; children are pushed
+        # largest first, so they pop in ascending order.
+        a = [0] * (length + 1)
+        stack = [(1, 1, i) for i in range(k - 1, -1, -1)]
+        while stack:
+            t, p, i = stack.pop()
+            a[t] = i
+            if t == length:
+                if length % p == 0 and a[1] != i ^ 1:
+                    yield _trusted(CyclicWord, tuple([alphabet[j] for j in a[1:]]), rank), p
+                continue
+            back, bad = a[t + 1 - p], i ^ 1
+            stack += [(t + 1, t + 1, j) for j in range(k - 1, back, -1) if j != bad]
+            if back != bad:
+                stack.append((t + 1, p, back))
+
+    return necklaces()
+
+
 def count_cyclically_reduced(rank: int, length: int) -> int:
     """Number of cyclically reduced words of the given length.
 

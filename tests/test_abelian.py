@@ -80,6 +80,41 @@ def smith_kernel_basis(rows, n):
     return out
 
 
+def two_pass_hermite_basis(vectors):
+    """Oracle: the column sweep that rebuilds its row lists at every column
+    and back-reduces the whole basis after the sweep."""
+    work = [list(map(int, v)) for v in vectors if any(v)]
+    n = len(vectors[0]) if vectors else 0
+    basis = []
+    pivot_of = []
+    for j in range(n):
+        live = [r for r in work if r[j] != 0]
+        work = [r for r in work if r[j] == 0]
+        if not live:
+            continue
+        piv = live.pop()
+        while live:
+            other = live.pop()
+            while other[j] != 0:
+                q = piv[j] // other[j]
+                piv = [a - q * b for a, b in zip(piv, other)]
+                piv, other = other, piv
+            if any(other):
+                work.append(other)
+        basis.append(piv)
+        pivot_of.append(j)
+    for k, (row, j) in enumerate(zip(basis, pivot_of)):
+        if row[j] < 0:
+            basis[k] = [-a for a in row]
+    for k in range(len(basis)):
+        j = pivot_of[k]
+        for i in range(k):
+            q = basis[i][j] // basis[k][j]
+            if q:
+                basis[i] = [a - q * c for a, c in zip(basis[i], basis[k])]
+    return basis
+
+
 def recursive_box_points(basis, box):
     """Oracle: depth-first walk of the coefficient staircase, one recursive
     generator per level, checking the max-norm only at the leaves."""
@@ -389,6 +424,17 @@ def test_slope_basis_matches_smith_kernel_oracle(case):
     p = Presentation(n, tuple(relator_with_exponent_sums(r, n) for r in rows))
     assert abelianization_matrix(p).rows == tuple(tuple(r) for r in rows)
     assert [s.values for s in slope_basis(p)] == smith_kernel_basis(rows, n)
+
+
+@given(exponent_sum_matrices())
+@settings(max_examples=300)
+def test_hermite_basis_matches_two_pass_oracle(case):
+    # the matrix itself, the kernel input [A^T | I_n] of `slope_basis`
+    # (a rank-0 kernel when A has full column rank), and every row twice
+    n, rows = case
+    stacked = [[r[j] for r in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    for vectors in (rows, stacked, rows + rows, stacked + [[0] * len(stacked[0])]):
+        assert hermite_row_basis(vectors) == two_pass_hermite_basis(vectors)
 
 
 def test_slope_basis_spans_the_kernel():

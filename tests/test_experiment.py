@@ -1,17 +1,21 @@
 import csv
 import io
+import itertools
 import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relators import experiment, smallcanc
 from relators.abelian import enumerate_kernel_slopes
 from relators.experiment import (
     CSV_HEADER,
+    PREDICATES,
     ExperimentConfig,
+    ExperimentRow,
     PredicateSpec,
     derive_seed,
     evaluate_predicate,
@@ -24,7 +28,14 @@ from relators.experiment import (
     wilson_interval,
 )
 from relators.mincond import MinConditionWitness, check_minimum_condition
-from relators.words import Presentation, parse_cyclic_word
+from relators.smallcanc import _verdicts
+from relators.words import (
+    CyclicWord,
+    Presentation,
+    enumerate_necklaces,
+    parse_cyclic_word,
+    sample_cyclically_reduced,
+)
 
 
 def test_derive_seed_frozen():
@@ -191,6 +202,122 @@ def test_exhaustive_min_condition_fractions_frozen():
     assert all(r.ci_lo is None and r.ci_hi is None for r in rows)
 
 
+def ordered_exhaustive_rows(cfg):
+    """Oracle: exhaustive rows from every ordered tuple, in lexicographic
+    order and chunks of 16, one predicate verdict per tuple."""
+    rows = []
+    for length in cfg.lengths:
+        trials, tuples = experiment._all_tuples(cfg.n, cfg.m, length, cfg.budget)
+        successes = 0
+        for chunk in iter(lambda: tuple(itertools.islice(tuples, 16)), ()):
+            if cfg.predicate.name == "c-prime":
+                successes += sum(_verdicts(chunk, cfg.predicate.lam))
+            else:
+                successes += sum(evaluate_predicate(cfg.predicate, cfg.n, t) for t in chunk)
+        est = Fraction(successes, trials)
+        rows.append(
+            ExperimentRow(
+                cfg.predicate.label(), cfg.n, cfg.m, length, cfg.mode, trials, successes,
+                est.numerator, str(est.denominator), None, None, cfg.seed, 0,
+            )
+        )
+    return rows
+
+
+_THIRD = PredicateSpec("c-prime", lam=Fraction(1, 3))
+_HALF = PredicateSpec("c-prime", lam=Fraction(1, 2))
+_B1 = PredicateSpec("b1")
+_MIN = PredicateSpec("min-condition", box=3)
+_CLASSES = PredicateSpec("slope-classes", k=2, box=2)
+# (predicate, n, m, lengths): spaces of at most 20,000 ordered tuples
+ORBIT_GRID = [
+    (_THIRD, 2, 1, (6, 7, 8)),
+    (_HALF, 2, 2, (3, 4)),
+    (_HALF, 3, 2, (2, 3)),
+    (_HALF, 2, 3, (2,)),
+    (_HALF, 4, 3, (1,)),
+    (_B1, 2, 1, (7, 8)),
+    (_B1, 2, 2, (3, 4)),
+    (_B1, 3, 2, (3,)),
+    (_B1, 2, 3, (1, 2)),
+    (_B1, 4, 3, (1,)),
+    (_MIN, 2, 1, (5, 6)),
+    (_MIN, 3, 1, (4, 5)),
+    (_MIN, 3, 2, (2,)),
+    (_MIN, 4, 3, (1,)),
+    (_CLASSES, 2, 1, (5, 6)),
+    (PredicateSpec("slope-classes", k=3, box=2), 3, 1, (4,)),
+    (_CLASSES, 3, 2, (2,)),
+    (_CLASSES, 2, 3, (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,n,m,lengths", ORBIT_GRID,
+    ids=lambda v: v.label() if isinstance(v, PredicateSpec) else str(v),
+)
+def test_orbit_rows_equal_ordered_enumeration(spec, n, m, lengths):
+    cfg = ExperimentConfig(n=n, m=m, lengths=lengths, predicate=spec, mode="exhaustive", budget=20_000)
+    rows = run_experiment(cfg)
+    assert rows_to_csv(rows).encode() == rows_to_csv(ordered_exhaustive_rows(cfg)).encode()
+
+
+def test_orbit_sizes_are_checked_against_the_tuple_count(monkeypatch):
+    # a lost rotation class leaves the orbit sizes short of count**m
+    lossy = lambda n, length: itertools.islice(enumerate_necklaces(n, length), 1, None)
+    monkeypatch.setattr(experiment, "enumerate_necklaces", lossy)
+    cfg = ExperimentConfig(n=2, m=2, lengths=(3,), predicate=_B1, mode="exhaustive")
+    with pytest.raises(AssertionError, match="orbit sizes sum to .*, not 784"):
+        run_experiment(cfg)
+
+
+@st.composite
+def moved_tuples(draw, below_rank):
+    """(n, relators, the relators rotated and permuted): fresh words, proper
+    powers and repeated relators; m < n when `below_rank`."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1 if below_rank else 3))
+    relators = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("fresh", "power", "repeat")))
+        seed = draw(st.integers(0, 2**32))
+        if kind == "repeat" and relators:
+            relators.append(relators[draw(st.integers(0, len(relators) - 1))])
+        elif kind == "power":
+            root = sample_cyclically_reduced(n, draw(st.integers(1, 4)), seed)
+            relators.append(CyclicWord(root.letters * draw(st.integers(2, 3)), n))
+        else:
+            relators.append(sample_cyclically_reduced(n, draw(st.integers(1, 10)), seed))
+    order = draw(st.permutations(range(m)))
+    shifts = draw(st.lists(st.integers(0, 40), min_size=m, max_size=m))
+    moved = tuple(relators[i].rotation(k) for i, k in zip(order, shifts))
+    return n, tuple(relators), moved
+
+
+_INVARIANT_SPECS = {
+    "c-prime": st.sampled_from([Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]).map(
+        lambda lam: PredicateSpec("c-prime", lam=lam)
+    ),
+    "b1": st.just(_B1),
+    "min-condition": st.integers(1, 3).map(lambda box: PredicateSpec("min-condition", box=box)),
+    "slope-classes": st.tuples(st.integers(1, 4), st.integers(1, 2)).map(
+        lambda kb: PredicateSpec("slope-classes", k=kb[0], box=kb[1])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PREDICATES)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_predicate_invariant_under_rotation_and_relator_order(name, data):
+    spec = data.draw(_INVARIANT_SPECS[name])
+    n, relators, moved = data.draw(moved_tuples(name in ("min-condition", "slope-classes")))
+    verdict = evaluate_predicate(spec, n, relators)
+    assert evaluate_predicate(spec, n, moved) == verdict
+    if name == "c-prime":  # the batched scan the exhaustive path runs
+        assert _verdicts([relators, moved], spec.lam) == [verdict, verdict]
+
+
 def test_exhaustive_budget_guard():
     cfg = ExperimentConfig(
         n=2,
@@ -263,10 +390,11 @@ def test_chunked_c_prime_matches_per_trial_replay():
 
 @pytest.mark.parametrize(
     "mode,trials,calls",
-    [("monte-carlo", 37, [3, 3]), ("monte-carlo", 32, [2, 2]), ("exhaustive", 1, [2, 6])],
+    [("monte-carlo", 37, [3, 3]), ("monte-carlo", 32, [2, 2]), ("exhaustive", 1, [1, 2])],
 )
 def test_one_piece_scan_per_chunk(monkeypatch, mode, trials, calls):
-    # exhaustive n=2 lengths 3, 4: 28 and 84 tuples
+    # exhaustive n=2 lengths 3, 4: 28 and 84 tuples in 12 and 26 rotation
+    # classes, one scanned representative each
     sizes = []
     scan = smallcanc._pair_maxima_batch
     monkeypatch.setattr(smallcanc, "_pair_maxima_batch", lambda ts: sizes.append(len(ts)) or scan(ts))
@@ -278,7 +406,8 @@ def test_one_piece_scan_per_chunk(monkeypatch, mode, trials, calls):
             mode=mode, trials=trials, seed=2,
         )
         (row,) = run_experiment(cfg)
-        assert sum(sizes) == row.trials and max(sizes) <= 16
+        scanned = row.trials if mode == "monte-carlo" else len(list(enumerate_necklaces(2, length)))
+        assert sum(sizes) == scanned and max(sizes) <= 16
         counts.append(len(sizes))
     assert counts == calls
 

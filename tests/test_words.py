@@ -19,6 +19,7 @@ from relators.words import (
     count_cyclically_reduced,
     cyclic_reduce,
     enumerate_cyclically_reduced,
+    enumerate_necklaces,
     format_word,
     letter_inverse,
     letter_order,
@@ -280,6 +281,56 @@ def test_exponent_sum_matches_signed_letter_sum(letters):
             assert u.exponent_sum(g) == sum(
                 1 if a == g else -1 if a == -g else 0 for a in u.letters
             )
+
+
+def least_rotation_classes(rank, length):
+    """Oracle: each cyclically reduced word's least rotation under the
+    letter order, with the number of words that share it, sorted."""
+    alphabet = sorted({a for g in range(1, rank + 1) for a in (g, -g)}, key=letter_order)
+    sizes = {}
+    for w in enumerate_cyclically_reduced(rank, length):
+        w = tuple(map(letter_order, w.letters))
+        least = min(w[k:] + w[:k] for k in range(length))
+        sizes[least] = sizes.get(least, 0) + 1
+    return [(tuple(alphabet[i] for i in w), size) for w, size in sorted(sizes.items())]
+
+
+def test_necklaces_match_least_rotation_oracle():
+    for rank, lengths in ((1, range(1, 11)), (2, range(1, 11)), (3, range(1, 7)), (4, range(1, 6))):
+        for length in lengths:
+            got = [(w.letters, p) for w, p in enumerate_necklaces(rank, length)]
+            assert got == least_rotation_classes(rank, length), (rank, length)
+
+
+def test_necklaces_are_least_rotations_in_order():
+    # past the oracle's reach: every representative is its own least
+    # rotation, has the stated period, and comes strictly after the last;
+    # the periods count every cyclically reduced word
+    for rank, length in ((3, 7), (3, 8), (4, 6)):
+        total, last = 0, ()
+        for w, p in enumerate_necklaces(rank, length):
+            ls = tuple(map(letter_order, w.letters))
+            rots = [ls[k:] + ls[:k] for k in range(1, length)] + [ls]
+            assert min(rots) == ls and rots.index(ls) + 1 == p
+            assert last < ls
+            total, last = total + p, ls
+        q = 2 * rank - 1
+        assert total == q**length + (1 if length % 2 else q)
+
+
+def test_necklace_periods_of_proper_powers():
+    for k in range(1, 6):
+        classes = dict((w.letters, p) for w, p in enumerate_necklaces(2, 2 * k))
+        assert classes[(1, 2) * k] == 2
+        assert classes[(1, -2) * k] == 2
+        assert classes[(1,) * (2 * k)] == 1
+    assert [(w.letters, p) for w, p in enumerate_necklaces(3, 1)] == [
+        ((a,), 1) for a in (1, -1, 2, -2, 3, -3)
+    ]
+    assert dict((w.letters, p) for w, p in enumerate_necklaces(2, 6))[(1, 1, 2) * 2] == 3
+    for bad in ((0, 3), (2, 0)):
+        with pytest.raises(ValueError):
+            enumerate_necklaces(*bad)
 
 
 def test_count_closed_form_at_rank_one_and_four():
