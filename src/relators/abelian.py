@@ -388,21 +388,14 @@ def count_slope_classes(
     are equivalent iff they induce identical lower sections on every
     relator.  Returns (class count, first representative of each class).
 
-    Raises ValueError if a slope fails to annihilate some relator.
+    A lower section is fixed by its minimal vertices (its flat edges are
+    those joining two of them), so they are the class signature.  Raises
+    ValueError if a slope fails to annihilate some relator.
     """
-    from .mincond import lower_section  # local import; mincond owns profiles
+    from .mincond import _min_vertices, _profiles  # mincond imports this module
 
-    reps: list[Slope] = []
     seen: dict[tuple, Slope] = {}
     for phi in slopes:
-        for r in p.relators:
-            if phi.of_word(r) != 0:
-                raise ValueError(f"slope {phi.values} does not annihilate a relator")
-        sig = tuple(
-            (ls.min_vertices, ls.flat_min_edges)
-            for ls in (lower_section(r, phi) for r in p.relators)
-        )
-        if sig not in seen:
-            seen[sig] = phi
-            reps.append(phi)
-    return len(reps), reps
+        sig = tuple(map(_min_vertices, _profiles(p.relators, phi)))
+        seen.setdefault(sig, phi)
+    return len(seen), list(seen.values())

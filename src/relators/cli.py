@@ -165,10 +165,7 @@ def _cmd_slopes(args) -> int:
     p = Presentation(relators[0].rank, relators)
     basis = slope_basis(p)
     valid = enumerate_valid_slopes(p, args.box)
-    if valid:
-        classes, reps = count_slope_classes(p, valid)
-    else:
-        classes, reps = 0, []
+    classes, reps = count_slope_classes(p, valid)
     _emit_json(
         {
             "rank": p.rank,

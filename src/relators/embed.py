@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
 from .abelian import Slope
@@ -39,10 +38,10 @@ from .mincond import (
     MinConditionWitness,
     Relabeling,
     _height_steps,
-    check_minimum_condition,
-    height_profile,
+    _heights,
+    _profiles,
+    _standard_form,
     standard_witness,
-    standardize,
 )
 from .smallcanc import PieceReport, check_small_cancellation, longest_piece
 from .words import (
@@ -198,12 +197,7 @@ def embed_presentation(
         raise ValueError(f"max_block_height must be >= 2, got {max_block_height}")
     if m > n - 2:
         raise ValueError("embedding requires at most n-2 relators")
-    witness = check_minimum_condition(p.relators, phi)
-    if isinstance(witness, MinConditionFailure):
-        raise ValueError(
-            f"minimum condition fails (relator {witness.relator}): {witness.reason}"
-        )
-    relators, std_phi, relab = standardize(p.relators, phi, witness)
+    _, relators, std_phi, relab = _standard_form(p.relators, phi)
 
     if guarantee_c16:
         if epsilon is None or Fraction(epsilon) <= 0:
@@ -224,7 +218,7 @@ def embed_presentation(
     psi = _target_slope(m)
     z = m + 1
     step = _height_steps(psi)
-    phi_min = tuple(height_profile(r, std_phi).min_height for r in relators)
+    phi_min = tuple(map(min, _profiles(relators, std_phi)))
     n_start = max(2, max(abs(v) for v in std_phi.values) + 1)
     y_lens = [1 if i <= m else i - m + 1 for i in range(1, n)]
 
@@ -249,7 +243,7 @@ def embed_presentation(
             target.append(_trusted(CyclicWord, reduced[lo:hi], z))
             stats_raw.append(len(raw))
             stats_cancel.append((len(raw) - (hi - lo)) // 2)
-            psi_min = min(accumulate(map(step.__getitem__, raw), initial=0))
+            psi_min = min(_heights(raw, step))
             if psi_min != phi_min[i] - big_n * (big_n + 1) // 2:
                 ok_profile = False
         if not ok_profile:

@@ -3,7 +3,10 @@
 Fix a slope phi with phi(r) = 0.  Walking the relator cycle from its
 basepoint gives integer vertex heights (partial sums of phi over letters);
 the *lower section* is everything at the minimum height: minimal vertices
-plus the flat edges joining two minimal vertices.
+plus the flat edges joining two minimal vertices.  Every height in the
+package comes from one pass, `_profiles`, and every section shape (lone
+vertex, lone flat edge, or a failure) with its position from one
+classifier, `_section_shape`; the other modules call these and keep no copy.
 
 The minimum condition asks that each relator's lower section be either a
 single vertex whose two flanking edges carry one designated "column"
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .abelian import Slope, slope_basis
 from .words import CyclicWord, Presentation
@@ -75,9 +78,23 @@ def _height_steps(phi: Slope) -> dict[int, int]:
     return {s * g: s * v for g, v in enumerate(phi.values, 1) for s in (1, -1)}
 
 
-def _heights(r: CyclicWord, step: dict[int, int]) -> tuple[int, ...]:
-    """The partial sums of `step` along r: its vertex heights, then phi(r)."""
-    return tuple(accumulate(map(step.__getitem__, r.letters), initial=0))
+def _heights(letters: Sequence[int], step: dict[int, int]) -> Iterator[int]:
+    """The partial sums of `step` along the letters, lazily: the vertex
+    heights from the basepoint, then the height of the whole word."""
+    return accumulate(map(step.__getitem__, letters), initial=0)
+
+
+def _profiles(relators: Sequence[CyclicWord], phi: Slope) -> tuple[tuple[int, ...], ...]:
+    """The vertex heights of every relator along phi, one pass each; raises
+    ValueError for the first relator phi does not annihilate."""
+    step = _height_steps(phi)
+    out = []
+    for idx, r in enumerate(relators):
+        heights = tuple(_heights(r.letters, step))
+        if heights[-1]:  # the closing height is phi(r)
+            raise ValueError(f"slope does not annihilate relator {idx}")
+        out.append(heights[:-1])
+    return tuple(out)
 
 
 def height_profile(r: CyclicWord, phi: Slope) -> HeightProfile:
@@ -87,10 +104,7 @@ def height_profile(r: CyclicWord, phi: Slope) -> HeightProfile:
     >>> height_profile(pc("x2 x1 X2 X1"), Slope((0, -1))).vertex_heights
     (0, -1, -1, 0)
     """
-    heights = _heights(r, _height_steps(phi))
-    if heights[-1] != 0:
-        raise ValueError("slope does not annihilate the relator")
-    return HeightProfile(r, phi, heights[:-1])
+    return HeightProfile(r, phi, _profiles((r,), phi)[0])
 
 
 def lower_section(r: CyclicWord, phi: Slope) -> LowerSection:
@@ -101,18 +115,24 @@ def lower_section(r: CyclicWord, phi: Slope) -> LowerSection:
     >>> sorted(ls.min_vertices), sorted(ls.flat_min_edges)
     ([1, 2], [1])
     """
-    return _lower_section(height_profile(r, phi).vertex_heights)
+    return _lower_section(_profiles((r,), phi)[0])
 
 
-def _lower_section(h: tuple[int, ...]) -> LowerSection:
-    """The lower section of the vertex heights h of a relator cycle."""
+def _min_vertices(h: tuple[int, ...]) -> tuple[int, ...]:
+    """The positions of the minimal vertex heights h, ascending; the flat
+    minimal edges are those joining two of them."""
     m = min(h)
-    l = len(h)
     found, v = [], -1
     for _ in range(h.count(m)):
         v = h.index(m, v + 1)
         found.append(v)
-    verts = frozenset(found)
+    return tuple(found)
+
+
+def _lower_section(h: tuple[int, ...]) -> LowerSection:
+    """The lower section of the vertex heights h of a relator cycle."""
+    l = len(h)
+    verts = frozenset(_min_vertices(h))
     # phi of edge k is h[k+1] - h[k], so an edge between minimal vertices is flat
     edges = frozenset(k for k in verts if (k + 1) % l in verts)
     return LowerSection(verts, edges)
@@ -145,33 +165,37 @@ class MinConditionFailure:
 
 def _section_shape(r: CyclicWord, heights: tuple[int, ...]):
     """Classify one relator by its vertex heights: ('vertex'|'edge',
-    {n-role: forced i-role}) or a MinConditionFailure-shaped (reason,
-    detail) tuple."""
-    ls = _lower_section(heights)
-    l = len(r)
-    nv, ne = len(ls.min_vertices), len(ls.flat_min_edges)
-    if ls.component_count(l) != 1:
-        return None, ("multi-component", f"{ls.component_count(l)} components")
-    if nv == 1 and ne == 0:
-        v = next(iter(ls.min_vertices))
-        a = abs(r.cyclic_letter(v - 1))
-        b = abs(r.cyclic_letter(v))
+    {n-role: forced i-role}, position of the lone vertex or lone flat edge),
+    or (None, MinConditionFailure-shaped (reason, detail), None).  A lone
+    section is one component, so only other sections are counted."""
+    lts = r.letters
+    l = len(lts)
+    m = min(heights)
+    v = heights.index(m)
+    nv = heights.count(m)
+    if nv == 1 and l > 1:
+        a, b = abs(lts[v - 1]), abs(lts[v])
         if a == b:
             # impossible at a strict minimum of a reduced word; kept as a
             # defensive failure rather than an assert on untrusted input
-            return None, ("same-flank", f"vertex {v} flanked twice by x{a}")
-        return "vertex", {b: a, a: b}
-    if nv == 2 and ne == 1:
-        e = next(iter(ls.flat_min_edges))
-        g = abs(r.cyclic_letter(e))
-        h1 = abs(r.cyclic_letter(e - 1))
-        h2 = abs(r.cyclic_letter(e + 1))
-        if h1 != h2:
-            return None, ("section-not-lone", f"edge {e} flanks x{h1} vs x{h2}")
-        if h1 == g:
-            return None, ("same-flank", f"edge {e} and flanks all on x{g}")
-        return "edge", {h1: g}
-    return None, ("section-not-lone", f"{nv} vertices, {ne} flat edges")
+            return None, ("same-flank", f"vertex {v} flanked twice by x{a}"), None
+        return "vertex", {b: a, a: b}, v
+    if nv == 2 and l > 2:
+        w = heights.index(m, v + 1)
+        e = v if w == v + 1 else w if (v, w) == (0, l - 1) else None
+        if e is not None:
+            g, h1, h2 = abs(lts[e]), abs(lts[e - 1]), abs(lts[(e + 1) % l])
+            if h1 != h2:
+                return None, ("section-not-lone", f"edge {e} flanks x{h1} vs x{h2}"), None
+            if h1 == g:
+                return None, ("same-flank", f"edge {e} and flanks all on x{g}"), None
+            return "edge", {h1: g}, e
+    ls = _lower_section(heights)
+    count = ls.component_count(l)
+    if count != 1:
+        return None, ("multi-component", f"{count} components"), None
+    nv, ne = len(ls.min_vertices), len(ls.flat_min_edges)
+    return None, ("section-not-lone", f"{nv} vertices, {ne} flat edges"), None
 
 
 def _validated_shapes(relators: Sequence[CyclicWord], phi: Slope):
@@ -187,20 +211,13 @@ def _validated_shapes(relators: Sequence[CyclicWord], phi: Slope):
         raise ValueError("slope rank mismatch")
     if len(relators) >= n:
         raise ValueError("minimum condition needs fewer relators than generators")
-    step = _height_steps(phi)
-    profiles = []
-    for idx, r in enumerate(relators):
-        heights = _heights(r, step)
-        if heights[-1] != 0:  # the closing height is phi(r)
-            raise ValueError(f"slope does not annihilate relator {idx}")
-        profiles.append(heights[:-1])
-
+    # every relator's annihilation is checked before any shape is classified
+    profiles = _profiles(relators, phi)
     shapes: list[tuple[str, dict[int, int]]] = []
     for idx, (r, heights) in enumerate(zip(relators, profiles)):
-        tag, info = _section_shape(r, heights)
+        tag, info, _ = _section_shape(r, heights)
         if tag is None:
-            reason, detail = info
-            return MinConditionFailure(idx, reason, detail)
+            return MinConditionFailure(idx, *info)
         shapes.append((tag, info))
     return shapes
 
@@ -314,7 +331,6 @@ def standardize(
     ((-2, 1, 2, -1), (0, -1))
     """
     n = len(phi)
-    m = len(relators)
     if phi.of_generator(witness.n_role) == 0:
         raise ValueError("witness n-role has slope value 0")
     used = set(witness.i_roles) | {witness.n_role}
@@ -333,10 +349,25 @@ def standardize(
     relab = Relabeling(tuple(images), n)
     new_relators = tuple(relab.apply_cyclic(r) for r in relators)
     new_phi = Slope(new_values)
-    assert all(new_phi.of_generator(j) >= 0 for j in range(1, n))
-    assert new_phi.of_generator(n) < 0
-    assert m == len(new_relators)
+    # raised rather than asserted, so the checks hold under python -O too
+    if any(new_phi.of_generator(j) < 0 for j in range(1, n)):
+        raise AssertionError("standardized slope is negative below x_n")
+    if new_phi.of_generator(n) >= 0:
+        raise AssertionError("standardized slope is not negative on x_n")
     return new_relators, new_phi, relab
+
+
+def _standard_form(
+    relators: Sequence[CyclicWord], phi: Slope
+) -> tuple[MinConditionWitness, tuple[CyclicWord, ...], Slope, Relabeling]:
+    """The witness of (relators, phi) and the standardized relators, slope
+    and relabeling; ValueError when the minimum condition fails."""
+    witness = check_minimum_condition(relators, phi)
+    if isinstance(witness, MinConditionFailure):
+        raise ValueError(
+            f"minimum condition fails (relator {witness.relator}): {witness.reason}"
+        )
+    return (witness, *standardize(relators, phi, witness))
 
 
 def _insert(r: CyclicWord, v: int, quad: tuple[int, int, int, int]) -> CyclicWord:
@@ -376,10 +407,10 @@ def _tau_insert(relators: tuple[CyclicWord, ...], phi: Slope) -> tuple[CyclicWor
     j = next(g for g in range(1, n + 1) if phi.of_generator(g) != 0)
 
     out = []
-    for i0, r in enumerate(relators):
+    for i0, (r, h) in enumerate(zip(relators, _profiles(relators, phi))):
         i = i0 + 1
         ip = i if i < j else i + 1
-        v = height_profile(r, phi).first_min_vertex
+        v = h.index(min(h))
         val = phi.of_generator(ip)
         if val > 0:
             eps = -1
@@ -402,7 +433,9 @@ def tau_inverse(
     """Exact left inverse of tau_deficiency_one; None when the tuple is not
     in its image.  Recovery: the inserted commutator contains the unique
     minimal vertex or flat edge, which pins down the four letters to remove;
-    the candidate is then confirmed by re-applying the insertion."""
+    the candidate is then confirmed by re-applying the insertion.  Removing
+    a commutator keeps the exponent sums, so phi is the candidate's kernel
+    slope too."""
     relators = tuple(relators)
     n = rank
     if len(relators) != n - 1 or any(r.rank != n for r in relators):
@@ -416,17 +449,12 @@ def tau_inverse(
     j = next(g for g in range(1, n + 1) if phi.of_generator(g) != 0)
 
     recovered = []
-    for r in relators:
-        ls = lower_section(r, phi)
-        nv, ne = len(ls.min_vertices), len(ls.flat_min_edges)
-        l = len(r)
-        if nv == 1 and ne == 0:
-            start = next(iter(ls.min_vertices)) - 2
-        elif nv == 2 and ne == 1:
-            start = next(iter(ls.flat_min_edges)) - 1
-        else:
+    for r, h in zip(relators, _profiles(relators, phi)):
+        tag, _, where = _section_shape(r, h)
+        if tag is None:
             return None
-        if start < 0 or start + 4 > l:
+        start = where - 2 if tag == "vertex" else where - 1
+        if start < 0 or start + 4 > len(r):
             return None  # a genuine insertion never wraps the basepoint
         quad = r.letters[start : start + 4]
         if quad[2] != -quad[0] or quad[3] != -quad[1] or abs(quad[0]) != j:
@@ -437,7 +465,7 @@ def tau_inverse(
             return None
     candidate = tuple(recovered)
     try:
-        again = tau_deficiency_one(candidate, n)
+        again = _tau_insert(candidate, phi)
     except ValueError:
         return None
     return candidate if again == relators else None
@@ -463,15 +491,11 @@ def tau_slope(relators: Sequence[CyclicWord], phi: Slope) -> tuple[CyclicWord, .
         raise ValueError("need fewer relators than generators")
     if not phi.is_valid():
         raise ValueError("slope must be nonzero on every generator")
-    for idx, r in enumerate(relators):
-        if phi.of_word(r) != 0:
-            raise ValueError(f"slope does not annihilate relator {idx}")
     sn = 1 if phi.of_generator(n) > 0 else -1
     out = []
-    for i0, r in enumerate(relators):
+    for i0, (r, h) in enumerate(zip(relators, _profiles(relators, phi))):
         i = i0 + 1
         si = 1 if phi.of_generator(i) > 0 else -1
         quad = (-sn * n, -si * i, sn * n, si * i)
-        v = height_profile(r, phi).first_min_vertex
-        out.append(_insert(r, v, quad))
+        out.append(_insert(r, h.index(min(h)), quad))
     return tuple(out)

@@ -39,11 +39,10 @@ from .mincond import (
     MinConditionFailure,
     MinConditionWitness,
     Relabeling,
-    check_minimum_condition,
-    height_profile,
-    lower_section,
+    _profiles,
+    _section_shape,
+    _standard_form,
     standard_witness,
-    standardize,
 )
 from .words import CyclicWord, Presentation, Word, _trusted
 
@@ -142,17 +141,15 @@ class LowestTermReport:
     slope: Slope
 
 
-def _classify_case(r: CyclicWord, phi: Slope, i_gen: int, n_gen: int) -> str:
-    """Which of the four standard-minimum local pictures row i realizes."""
-    ls = lower_section(r, phi)
-    if len(ls.flat_min_edges) == 0:
-        v = next(iter(ls.min_vertices))
-        incoming = r.cyclic_letter(v - 1)
-        if abs(incoming) == n_gen:
+def _classify_case(r: CyclicWord, heights: tuple[int, ...], i_gen: int, n_gen: int) -> str:
+    """Which of the four standard-minimum local pictures row i realizes,
+    from the lone vertex or flat edge of r's vertex heights."""
+    tag, _, where = _section_shape(r, heights)
+    if tag == "vertex":
+        if abs(r.cyclic_letter(where - 1)) == n_gen:
             return "vertex-in-n-out-i"
         return "vertex-in-i-inv-out-n-inv"
-    e = next(iter(ls.flat_min_edges))
-    return "edge-flat-i" if r.cyclic_letter(e) == i_gen else "edge-flat-i-inv"
+    return "edge-flat-i" if r.cyclic_letter(where) == i_gen else "edge-flat-i-inv"
 
 
 def verify_fox_lowest_terms(
@@ -177,8 +174,8 @@ def verify_fox_lowest_terms(
     n = relators[0].rank
     jac = _jac if _jac is not None else jacobian(Presentation(n, relators))
     rows = []
-    for i, r in enumerate(relators):
-        p_i = height_profile(r, phi).min_height
+    for i, (r, heights) in enumerate(zip(relators, _profiles(relators, phi))):
+        p_i = min(heights)
         diag = grade(jac[i, i], phi)
         if diag.min_degree != p_i:
             raise ValueError(
@@ -205,7 +202,7 @@ def verify_fox_lowest_terms(
                 min_height=p_i,
                 lowest_word=word,
                 lowest_coeff=coeff,
-                case_tag=_classify_case(r, phi, i + 1, n),
+                case_tag=_classify_case(r, heights, i + 1, n),
                 off_diagonal_min_degrees=tuple(offs),
             )
         )
@@ -354,12 +351,7 @@ def injectivity_certificate(
     >>> injectivity_certificate(p, Slope((0, -1)), 5).error_min_degree >= 5
     True
     """
-    witness = check_minimum_condition(p.relators, phi)
-    if isinstance(witness, MinConditionFailure):
-        raise ValueError(
-            f"minimum condition fails (relator {witness.relator}): {witness.reason}"
-        )
-    std_relators, std_phi, relab = standardize(p.relators, phi, witness)
+    witness, std_relators, std_phi, relab = _standard_form(p.relators, phi)
     m = len(std_relators)
     n = p.rank
     jac = jacobian(Presentation(n, std_relators))

@@ -143,11 +143,6 @@ class CyclicWord(_Letters):
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
 
-    @property
-    def base(self) -> Word:
-        """The basepoint representative as a plain Word."""
-        return Word(self.letters, self.rank)
-
     def cyclic_letter(self, k: int) -> int:
         return self.letters[k % len(self.letters)]
 

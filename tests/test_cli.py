@@ -177,12 +177,14 @@ SUBCOMMAND_GOLDEN = [
     (["tau", "--rank", "3"], "x1 x2 x3 X2\nx2 x2 X3 x1", 0, "27a3adbba5ffb12e"),
     (["slopes", "--box", "2"], "x1 x2", 0, "e3e3f9883c049506"),
     (["slopes", "--box", "2"], "x3 x1 X3 X1", 0, "4cc876ba1437a06b"),
+    # the kernel of x1 x1 is (0, b): no valid slope in the box
+    (["slopes", "--box", "2", "--rank", "2"], "x1 x1", 0, "22963aedfa1d7266"),
     (["embed", "--phi=-3,-1,0", "--guarantee-c16", "--epsilon", "1"], _EMBED_SOURCE, 0, "517f5b6aeec30d9d"),
 ]
 _SUBCOMMAND_IDS = [
     "mincond-edge", "mincond-vertex", "mincond-two-relators", "mincond-multi-component",
     "mincond-section-not-lone", "mincond-no-assignment", "tau-n2", "tau-n3",
-    "slopes-n2", "slopes-n3", "embed-c16",
+    "slopes-n2", "slopes-n3", "slopes-none-valid", "embed-c16",
 ]
 
 

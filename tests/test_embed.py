@@ -277,8 +277,9 @@ def test_block_height_skip_keeps_plan_and_report(monkeypatch, p, phi, kwargs):
 
 
 def test_checks_survive_python_dash_O():
-    """The construction's invariants are checked by raising, so `python -O`,
-    which strips `assert` statements, still refuses a corrupted result."""
+    """The invariants of the construction and of `standardize` are checked
+    by raising, so `python -O`, which strips `assert` statements, still
+    refuses a corrupted result."""
     script = textwrap.dedent(
         """
         from fractions import Fraction
@@ -304,6 +305,15 @@ def test_checks_survive_python_dash_O():
             embed.embed_presentation(p, Slope((0, 2, -1)))
         except AssertionError as exc:
             print("target:", exc)
+
+        # inversion signs that leave phi(x_n) positive break the standard form
+        t = (parse_cyclic_word("x2 x1 X2 X1", 2),)
+        witness = mincond.check_minimum_condition(t, Slope((0, 1)))
+        mincond._inversion_signs = lambda phi, g: (1,) * len(phi)
+        try:
+            mincond.standardize(t, Slope((0, 1)), witness)
+        except AssertionError as exc:
+            print("standardize:", exc)
         """
     )
     src = str(pathlib.Path(relators.__file__).resolve().parents[1])
@@ -316,6 +326,7 @@ def test_checks_survive_python_dash_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    words, target = done.stdout.splitlines()
+    words, target, std = done.stdout.splitlines()
     assert words == "w-words: psi(w_1) != phi(x_1)"
     assert target.startswith("target: |s_1| = ") and target.endswith(" is outside its length band")
+    assert std == "standardize: standardized slope is not negative on x_n"

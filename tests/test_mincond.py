@@ -1,14 +1,23 @@
 import itertools
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relators.abelian import Slope, enumerate_kernel_slopes, enumerate_valid_slopes
+from relators.abelian import (
+    Slope,
+    count_slope_classes,
+    enumerate_kernel_slopes,
+    enumerate_valid_slopes,
+)
 from relators.mincond import (
+    LowerSection,
     MinConditionFailure,
     MinConditionWitness,
     Relabeling,
+    _profiles,
+    _section_shape,
     check_minimum_condition,
     height_profile,
     lower_section,
@@ -43,8 +52,17 @@ def test_height_profile_worked_example():
 
 
 def test_height_profile_requires_annihilation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^slope does not annihilate relator 0$"):
         height_profile(cw("x1 x2", 2), Slope((1, -2)))
+
+
+def test_height_pass_names_the_first_relator_not_annihilated():
+    t = (cw("x1 X2", 2), cw("x1 x2", 2), cw("x2", 2))
+    with pytest.raises(ValueError, match="^slope does not annihilate relator 1$"):
+        _profiles(t, Slope((1, 1)))
+    p = Presentation(2, t[:2])
+    with pytest.raises(ValueError, match="^slope does not annihilate relator 1$"):
+        count_slope_classes(p, [Slope((1, 1))])
 
 
 def test_height_profile_prefix_sums():
@@ -297,6 +315,105 @@ def oracle_cases(draw):
     return relators, Slope(draw(st.sampled_from(nonzero or kernel)))
 
 
+# -- the previous height routines, kept as oracles for the one height pass -----
+
+
+def oracle_height_profile(r, phi):
+    """The previous `height_profile`: partial sums of phi along the letters,
+    checked to close at height 0."""
+    heights = tuple(accumulate((phi.of_letter(a) for a in r.letters), initial=0))
+    if heights[-1] != 0:
+        raise ValueError("slope does not annihilate the relator")
+    return heights[:-1]
+
+
+def oracle_lower_section(r, phi):
+    """The previous `lower_section`: minimal vertices by scanning, and the
+    flat edges between two of them."""
+    h = oracle_height_profile(r, phi)
+    m = min(h)
+    l = len(h)
+    verts = frozenset(k for k in range(l) if h[k] == m)
+    return LowerSection(verts, frozenset(k for k in verts if (k + 1) % l in verts))
+
+
+def oracle_section_shape(r, phi):
+    """The previous `_section_shape`: (tag, forced roles) or (None, (reason,
+    detail)), read off a whole lower section."""
+    ls = oracle_lower_section(r, phi)
+    l = len(r)
+    nv, ne = len(ls.min_vertices), len(ls.flat_min_edges)
+    if ls.component_count(l) != 1:
+        return None, ("multi-component", f"{ls.component_count(l)} components")
+    if nv == 1 and ne == 0:
+        v = next(iter(ls.min_vertices))
+        a = abs(r.cyclic_letter(v - 1))
+        b = abs(r.cyclic_letter(v))
+        if a == b:
+            return None, ("same-flank", f"vertex {v} flanked twice by x{a}")
+        return "vertex", {b: a, a: b}
+    if nv == 2 and ne == 1:
+        e = next(iter(ls.flat_min_edges))
+        g = abs(r.cyclic_letter(e))
+        h1 = abs(r.cyclic_letter(e - 1))
+        h2 = abs(r.cyclic_letter(e + 1))
+        if h1 != h2:
+            return None, ("section-not-lone", f"edge {e} flanks x{h1} vs x{h2}")
+        if h1 == g:
+            return None, ("same-flank", f"edge {e} and flanks all on x{g}")
+        return "edge", {h1: g}
+    return None, ("section-not-lone", f"{nv} vertices, {ne} flat edges")
+
+
+def oracle_lone_position(r, phi):
+    """The section test `tau_inverse` used to make: ('vertex', v) for a
+    lone minimal vertex, ('edge', e) for a lone flat edge, else None."""
+    ls = oracle_lower_section(r, phi)
+    nv, ne = len(ls.min_vertices), len(ls.flat_min_edges)
+    if nv == 1 and ne == 0:
+        return "vertex", next(iter(ls.min_vertices))
+    if nv == 2 and ne == 1:
+        return "edge", next(iter(ls.flat_min_edges))
+    return None
+
+
+def oracle_count_slope_classes(p, slopes):
+    """The previous `count_slope_classes`: annihilation checked by
+    `Slope.of_word`, classes keyed by whole lower sections."""
+    reps, seen = [], {}
+    for phi in slopes:
+        for r in p.relators:
+            if phi.of_word(r) != 0:
+                raise ValueError(f"slope {phi.values} does not annihilate a relator")
+        sig = tuple(
+            (ls.min_vertices, ls.flat_min_edges)
+            for ls in (oracle_lower_section(r, phi) for r in p.relators)
+        )
+        if sig not in seen:
+            seen[sig] = phi
+            reps.append(phi)
+    return len(reps), reps
+
+
+@given(oracle_cases())
+@settings(max_examples=300, deadline=None)
+def test_height_pass_and_classifier_agree_with_previous_routines(case):
+    relators, phi = case
+    profiles = _profiles(relators, phi)
+    assert profiles == tuple(oracle_height_profile(r, phi) for r in relators)
+    for r, h in zip(relators, profiles):
+        tag, info, where = _section_shape(r, h)
+        assert (tag, info) == oracle_section_shape(r, phi)
+        if tag is None:
+            assert where is None
+        else:
+            assert (tag, where) == oracle_lone_position(r, phi)
+        assert lower_section(r, phi) == oracle_lower_section(r, phi)
+    p = Presentation(len(phi), relators)
+    slopes = [phi, *enumerate_kernel_slopes(p, 1)]
+    assert count_slope_classes(p, slopes) == oracle_count_slope_classes(p, slopes)
+
+
 @given(oracle_cases())
 @settings(max_examples=400, deadline=None)
 def test_check_agrees_with_brute_force_oracle(case):
@@ -488,6 +605,27 @@ def test_tau_round_trip_exhaustive_l4():
         count += 1
     assert count == 76  # betti-1 tuples among the 84 of length 4
     assert len(images) == count
+
+
+@pytest.mark.parametrize("l", [5, 6, 7, 8])
+def test_tau_inverse_exhaustive_oracle_n2(l):
+    # the source of every image of a length-(l-4) betti-1 source, and None
+    # for every other length-l word
+    from relators.abelian import first_betti_number
+
+    source_of = {}
+    for w in enumerate_cyclically_reduced(2, l - 4):
+        if first_betti_number(Presentation(2, (w,))) != 1:
+            continue
+        image = tau_deficiency_one((w,), 2)
+        assert image not in source_of  # tau is injective here
+        source_of[image] = (w,)
+    hits = 0
+    for w in enumerate_cyclically_reduced(2, l):
+        expected = source_of.get((w,))
+        assert tau_inverse((w,), 2) == expected
+        hits += expected is not None
+    assert hits == len(source_of)
 
 
 # -- the slope-indexed insertion map ------------------------------------------
