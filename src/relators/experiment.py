@@ -408,8 +408,12 @@ def tau_count(n: int, length: int, budget: int = 1_000_000) -> TauCountResult:
     r_count, tuples = _all_tuples(n, m, length, budget)
     r_prime = 0
     image = set()
+    bases: dict[tuple, list] = {}  # the basis depends only on the exponent sums
     for combo in tuples:
-        basis = slope_basis(Presentation(n, combo))
+        key = tuple(tuple([r.exponent_sum(g) for g in range(1, n + 1)]) for r in combo)
+        basis = bases.get(key)
+        if basis is None:
+            basis = bases[key] = slope_basis(Presentation(n, combo))
         if len(basis) != 1:  # first Betti number is not 1
             continue
         r_prime += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .words import (
@@ -67,8 +68,7 @@ def _pack(letters: Iterable[int], rank: int) -> int:
 
 def _unpack(w: int, rank: int) -> tuple[int, ...]:
     """The letter tuple of a packed word."""
-    width = _width(rank)
-    mask = (1 << width) - 1
+    width, mask, _ = _kernel_tables(rank)
     out = []
     while w:
         d = w & mask
@@ -254,6 +254,13 @@ def _sorted_terms(e: GroupRingElement) -> list[tuple[tuple[int, ...], int | Frac
     return sorted(items, key=lambda t: (len(t[0]), tuple(map(letter_order, t[0]))))
 
 
+@lru_cache(maxsize=64)
+def _kernel_tables(rank: int) -> tuple[int, int, tuple[int, ...]]:
+    """Digit width, mask and digit inverses at one rank (-1 for the empty word)."""
+    inverse = (-1, *range(rank + 1, 2 * rank + 1), *range(1, rank + 1))
+    return _width(rank), (1 << _width(rank)) - 1, inverse
+
+
 def _mul_terms(a: Terms, b: Terms, rank: int, acc: Terms | None = None) -> Terms:
     """Add the product a*b of rank-`rank` term dicts into `acc` (a new dict
     by default) and return it.
@@ -265,10 +272,7 @@ def _mul_terms(a: Terms, b: Terms, rank: int, acc: Terms | None = None) -> Terms
     if acc is None:
         acc = {}
     get = acc.get
-    width = _width(rank)
-    mask = (1 << width) - 1
-    # the inverse of each digit; the empty word has no first digit to cancel
-    inverse = [-1, *range(rank + 1, 2 * rank + 1), *range(1, rank + 1)]
+    width, mask, inverse = _kernel_tables(rank)
     b_items = []  # (v, coefficient, width*|v|, the last digit of u that cancels v)
     for v, cv in b.items():
         shift = -(-v.bit_length() // width) * width

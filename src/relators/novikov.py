@@ -69,34 +69,46 @@ class GradedElement:
 
 
 @lru_cache(maxsize=256)
-def _byte_table(values: tuple[int, ...]) -> tuple[int, ...]:
-    """phi's value on each byte of a packed word of rank <= 127: two letter
-    digits to a byte at width 4, one at width 8."""
-    digit = [0, *values, *(-v for v in values)]
-    digit += [0] * (256 - len(digit))
-    if _width(len(values)) == 8:
-        return tuple(digit)
-    return tuple(digit[b >> 4] + digit[b & 15] for b in range(256))
+def _digit_tables(values: tuple[int, ...]) -> tuple[int, bytes, tuple[bytes, ...]]:
+    """(off, low, high): phi on each byte of a packed word of rank <= 127 (two
+    letter digits at width 4, one at width 8), raised by off >= 0, in base-256
+    digits; digit 0 is the `bytes.translate` table low, digit j high[j - 1]."""
+    digit = [0, *values, *(-v for v in values)] + [0] * (255 - 2 * len(values))
+    if _width(len(values)) == 4:
+        digit = [digit[b >> 4] + digit[b & 15] for b in range(256)]
+    off = -min(digit)
+    raised = [v + off for v in digit]
+    top = max(raised).bit_length() or 1
+    low, *high = (bytes((v >> s) & 255 for v in raised) for s in range(0, top, 8))
+    return off, low, tuple(high)
 
 
-def _degrees(words: Sequence[int], phi: Slope) -> list[int]:
-    """phi(w) of each packed word w, recomputed exactly from its letters
-    through `_byte_table`; every degree in this module comes from here.
+def _degrees(words: Iterable[int], phi: Slope) -> list[int]:
+    """phi(w) of each packed word w, recomputed exactly from its bytes b as
+    sum_j 256^j * sum(b.translate(T_j)) - off*len(b) over `_digit_tables`;
+    every degree in this module comes from here.  Slope (1000, -7) raises
+    byte values up to 4000, so it takes two tables:
 
     >>> from .fox import _pack
     >>> _degrees([_pack(w, 2) for w in ((), (2, 2, -1), (-2,))], Slope((3, -1)))
     [0, -5, 1]
+    >>> _degrees([_pack((1, 1, -2, 1), 2), _pack((-1, 2), 2)], Slope((1000, -7)))
+    [3007, -1007]
     """
     rank = len(phi.values)
     if _width(rank) > 8:
         return [phi.of_word(_unpack(w, rank)) for w in words]
-    get = _byte_table(phi.values).__getitem__
-    return [sum(map(get, w.to_bytes((w.bit_length() + 7) >> 3, "big"))) for w in words]
+    off, low, high = _digit_tables(phi.values)
+    bs = [w.to_bytes((w.bit_length() + 7) >> 3, "big") for w in words]
+    out = [sum(b.translate(low)) - off * len(b) for b in bs]
+    for j, t in enumerate(high, 1):  # a steep slope's higher digits
+        out = [d + (sum(b.translate(t)) << 8 * j) for d, b in zip(out, bs)]
+    return out
 
 
 def _min_degree(words: Iterable[int], phi: Slope) -> Optional[int]:
     """Least degree over `words`, in one batched pass; None when empty."""
-    return min(_degrees(list(words), phi), default=None)
+    return min(_degrees(words, phi), default=None)
 
 
 def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
@@ -109,7 +121,7 @@ def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
     """
     terms = e._terms
     buckets: dict[int, Terms] = {}
-    for w, p in zip(terms, _degrees(list(terms), phi)):
+    for w, p in zip(terms, _degrees(terms, phi)):
         buckets.setdefault(p, {})[w] = terms[w]
     comps = {
         p: _trusted(GroupRingElement, part, e.rank) for p, part in sorted(buckets.items())
@@ -253,6 +265,13 @@ def _minus_eye(a: list[list[Terms]]) -> list[list[Terms]]:
     return a
 
 
+def _check_series_args(order: int, term_cap: int) -> None:
+    if order < 1:
+        raise ValueError("truncation order must be >= 1")
+    if term_cap < 1:
+        raise ValueError(f"term cap must be >= 1, got {term_cap}")
+
+
 def truncated_neumann_inverse(
     matrix: Sequence[Sequence[GroupRingElement]],
     phi: Slope,
@@ -271,10 +290,7 @@ def truncated_neumann_inverse(
     >>> cert.error_min_degree
     3
     """
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
-    if term_cap < 1:
-        raise ValueError(f"term cap must be >= 1, got {term_cap}")
+    _check_series_args(order, term_cap)
     A: Matrix = tuple(tuple(row) for row in matrix)
     size = len(A)
     if any(len(row) != size for row in A):
@@ -351,6 +367,7 @@ def injectivity_certificate(
     >>> injectivity_certificate(p, Slope((0, -1)), 5).error_min_degree >= 5
     True
     """
+    _check_series_args(order, term_cap)  # before any of the pipeline runs
     witness, std_relators, std_phi, relab = _standard_form(p.relators, phi)
     m = len(std_relators)
     n = p.rank

@@ -330,6 +330,26 @@ def test_term_cap_below_one_exits_2(capsys, tmp_path, cap):
     }
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--order", "0"], "truncation order must be >= 1"),
+        (["--order", "2", "--term-cap", "0"], "term cap must be >= 1, got 0"),
+    ],
+)
+def test_bad_certificate_arguments_exit_2_before_the_pipeline(capsys, tmp_path, flags, message):
+    # the minimum condition fails on this relator, but the arguments are
+    # refused first
+    f = tmp_path / "rel.txt"
+    f.write_text("x2 x1 x1 X2 X1 X1\n")
+    code = main(["certify", "--phi", "0,-1", *flags, str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": message}
+
+
 def test_term_cap_counts_the_starting_series(capsys, tmp_path):
     # at order 1 the truncated inverse is the identity, one term per relator
     f = tmp_path / "rel.txt"

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relators import experiment, smallcanc
-from relators.abelian import enumerate_kernel_slopes
+from relators.abelian import abelianization_matrix, enumerate_kernel_slopes, first_betti_number
 from relators.experiment import (
     CSV_HEADER,
     PREDICATES,
     ExperimentConfig,
     ExperimentRow,
     PredicateSpec,
+    TauCountResult,
     derive_seed,
     evaluate_predicate,
     parse_config,
@@ -27,11 +28,13 @@ from relators.experiment import (
     tau_count,
     wilson_interval,
 )
-from relators.mincond import MinConditionWitness, check_minimum_condition
+from relators.mincond import MinConditionWitness, check_minimum_condition, tau_deficiency_one
 from relators.smallcanc import _verdicts
 from relators.words import (
     CyclicWord,
     Presentation,
+    count_cyclically_reduced,
+    enumerate_cyclically_reduced,
     enumerate_necklaces,
     parse_cyclic_word,
     sample_cyclically_reduced,
@@ -531,6 +534,38 @@ def test_tau_count_frozen():
     assert (res.r_count, res.r_prime_count, res.tau_image_count) == (84, 76, 76)
     assert res.r_count_extended == 6564
     assert res.injective
+
+
+def _tau_count_oracle(n, length):
+    """tau_count as one first-Betti check and one insertion per tuple."""
+    tuples = list(itertools.product(enumerate_cyclically_reduced(n, length), repeat=n - 1))
+    image = set()
+    r_prime = 0
+    for combo in tuples:
+        if first_betti_number(Presentation(n, combo)) != 1:
+            continue
+        r_prime += 1
+        image.add(tau_deficiency_one(combo, n))
+    extended = count_cyclically_reduced(n, length + 4) ** (n - 1)
+    return TauCountResult(n, length, len(tuples), r_prime, len(image), extended), tuples
+
+
+@pytest.mark.parametrize("n,length", [(2, l) for l in range(3, 8)] + [(3, 2), (3, 3)])
+def test_tau_count_one_slope_basis_per_exponent_sum_matrix(monkeypatch, n, length):
+    expected, tuples = _tau_count_oracle(n, length)
+    calls = []
+    real = experiment.slope_basis
+
+    def counting(p):
+        calls.append(abelianization_matrix(p).rows)
+        return real(p)
+
+    monkeypatch.setattr(experiment, "slope_basis", counting)
+    assert tau_count(n, length) == expected
+    matrices = {abelianization_matrix(Presentation(n, t)).rows for t in tuples}
+    assert len(calls) == len(set(calls)) == len(matrices)
+    if (n, length) == (2, 7):
+        assert (len(matrices), len(tuples)) == (64, 2188)
 
 
 def test_tau_count_budget_guard():

@@ -376,11 +376,22 @@ def test_jacobian_built_once_per_certificate(monkeypatch):
 # -- the batched degree routine and the wrapped certificate matrices ----------
 
 
+# entries at and around the byte boundaries of the digit tables, and far past
+STEEP = tuple(
+    s * v for v in (63, 64, 127, 128, 255, 256, 1 << 16, 10**18) for s in (1, -1)
+)
+
+
 @given(
-    # ranks 8 and 130 take the one-byte and the unaligned digit widths
-    st.sampled_from((1, 2, 3, 4, 8, 130)).flatmap(
+    # ranks 7 and 127 are the widest at 4 and 8 bits a digit; 128 and 130
+    # unpack
+    st.sampled_from((1, 2, 3, 7, 8, 127, 128, 130)).flatmap(
         lambda n: st.tuples(
-            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            st.lists(
+                st.integers(min_value=-3, max_value=3) | st.sampled_from(STEEP),
+                min_size=n,
+                max_size=n,
+            ),
             st.lists(
                 st.lists(
                     st.integers(min_value=-n, max_value=n).filter(lambda a: a != 0),
@@ -404,6 +415,44 @@ def test_batched_degrees_match_slope_of_word(case):
     assert novikov._degrees([], phi) == []
     assert novikov._min_degree(packed, phi) == min(expected)
     assert novikov._min_degree([], phi) is None
+
+
+def test_certificate_degrees_scale_with_the_slope():
+    # phi.scaled(c) grades every word c times as high: the certificate's
+    # degrees scale by c and nothing else moves, however steep the slope
+    rng = random.Random(17)
+    done = 0
+    while done < 6:
+        n = rng.choice((2, 3))
+        t = tuple(
+            sample_cyclically_reduced(n, rng.randrange(3, 8), rng) for _ in range(n - 1)
+        )
+        p = Presentation(n, t)
+        if first_betti_number(p) != 1:
+            continue
+        image = Presentation(n, tau_deficiency_one(t, n))
+        phi = slope_basis(p)[0]
+        base = injectivity_certificate(image, phi, 3)
+        for c in (1, 2, 63, 64, 128, 1000, 1 << 40):
+            cert = injectivity_certificate(image, phi.scaled(c), 3)
+            rows, base_rows = cert.lowest_terms.rows, base.lowest_terms.rows
+            assert cert.error_min_degree == c * base.error_min_degree
+            assert [r.min_height for r in rows] == [c * r.min_height for r in base_rows]
+            assert [r.case_tag for r in rows] == [r.case_tag for r in base_rows]
+            assert cert.term_count == base.term_count
+        done += 1
+
+
+def test_certificate_checks_its_arguments_first(monkeypatch):
+    def standard_form(*args):
+        raise AssertionError("the pipeline ran before the arguments were checked")
+
+    monkeypatch.setattr(novikov, "_standard_form", standard_form)
+    p = Presentation(2, (parse_cyclic_word("x2 x1 X2 X1", 2),))
+    with pytest.raises(ValueError, match=r"^truncation order must be >= 1$"):
+        injectivity_certificate(p, Slope((0, -1)), 0)
+    with pytest.raises(ValueError, match=r"^term cap must be >= 1, got 0$"):
+        injectivity_certificate(p, Slope((0, -1)), 2, term_cap=0)
 
 
 def test_certificate_matrices_unchanged_by_later_arithmetic():
