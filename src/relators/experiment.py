@@ -22,7 +22,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -336,6 +335,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     workers = min(cfg.workers, -(-cfg.trials // _CHUNK), os.cpu_count() or 1)
     if cfg.mode == "exhaustive" or workers == 1:
         return [_experiment_row(cfg, length, map) for length in cfg.lengths]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [_experiment_row(cfg, length, pool.map) for length in cfg.lengths]
 

@@ -14,11 +14,13 @@ comparison is done in integers.
 
 The search sorts the cyclic rotations of the oriented relator texts
 themselves (no doubled copies, no separators) by numpy prefix doubling
-(Manber-Myers 1993), starting from one sort of packed codes that each hold
-a rotation's first 2^k letters, and one vectorized pass over the sorted
-rotations yields every pair maximum, so the verdict and the longest-piece
-report come from a single scan and relator tuples with hundreds of
-thousands of letters stay tractable; the quadratic window scan and the
+(Manber-Myers 1993): one sort of packed codes that each hold a rotation's
+first 2^k letters, then at each level a re-sort of the rotations still tied
+only (Larsson-Sadakane 2007), ties ending in rotation-index order on every
+CPU.  One vectorized pass over the sorted rotations yields every pair
+maximum, so the verdict and the longest-piece report come from a single
+scan and relator tuples with hundreds of thousands of letters stay
+tractable; the quadratic window scan and the
 unpacked doubling scan are kept as test oracles.
 """
 
@@ -75,16 +77,19 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     letter rank, the first 2^k letters of a rotation fit in one int64 code
     (largest k with b * 2^k <= 62 and 2^(k-1) below the longest text), and
     one sort of those codes gives level k directly; levels below k are never
-    built.  The LCP of sorted neighbours comes from stepping down the kept
-    levels to k and reading the last (fewer than 2^k) letters off the XOR of
-    the two packed codes.  A pair of texts shares a piece of length k
-    exactly when some occurrence of one follows an occurrence of the other
-    with no neighbour LCP below k in between, so one running minimum per
-    text that restarts at each of its occurrences finds every pair maximum.
+    built, and each later level re-sorts the rotations still tied only.  The
+    LCP of sorted neighbours comes from stepping down the kept levels to k
+    (neighbours with equal codes only) and reading the last (fewer than 2^k)
+    letters off the XOR of the two packed codes.  A pair of texts shares a
+    piece of length k exactly when some occurrence of one follows an
+    occurrence of the other with no neighbour LCP below k in between, so
+    one running minimum per text that restarts at each of its occurrences
+    finds every pair maximum.
 
     The packed codes order the rotations as the level-k doubling keys do,
-    so the sort permutation, and with it every table and witness, is the
-    plain doubling scan's, proper powers' tied rotations included.
+    and ties end in rotation-index order, so the sort permutation, and with
+    it every table and witness, is the plain stable doubling scan's on every
+    CPU, proper powers' tied rotations included.
 
     Letters are ranked as (tuple index, letter) pairs, so every rotation of
     one tuple sorts before every rotation of the next and the LCP between
@@ -126,35 +131,7 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
         jump = jump[jump]
         k += 1
 
-    def ranked(key):
-        order = np.argsort(key)
-        sorted_key = key[order]
-        rank = np.empty(n, dtype=np.int32)
-        rank[order[0]] = 0
-        rank[order[1:]] = np.cumsum(sorted_key[1:] != sorted_key[:-1])
-        return order, rank
-
-    order, rank = ranked(packed)
-    levels, jumps = [rank], [jump]  # level k+j: rank of 2^(k+j) letters, jump as far
-    while 1 << (k + len(levels) - 1) < top and rank[order[-1]] < n - 1:
-        order, rank = ranked(rank.astype(np.int64) * n + rank[jumps[-1]])
-        levels.append(rank)
-        jumps.append(jumps[-1][jumps[-1]])
-
-    pa, pb = order[:-1].copy(), order[1:].copy()
-    lcp = np.zeros(n - 1, dtype=np.int64)
-    for j in range(len(levels) - 1, -1, -1):
-        same = np.flatnonzero(levels[j][pa] == levels[j][pb])
-        lcp[same] += 1 << (k + j)
-        pa[same] = jumps[j][pa[same]]
-        pb[same] = jumps[j][pb[same]]
-    diff = packed[pa] ^ packed[pb]  # the first differing bit ends the LCP
-    for s in (1, 2, 4, 8, 16, 32):
-        diff |= diff >> s
-    bits = np.bitwise_count(diff).astype(np.int64)  # bit length of the XOR
-    lcp += np.minimum(((b << k) - bits) // b, (1 << k) - 1)
-    gap = np.minimum(np.concatenate(([0], lcp)), top)  # gap[s]: LCP of sorted s-1, s
-
+    order, gap = _sorted_rotations(packed, jump, b, k, top)
     owner = text[order]
     offs = order - first[owner]
     at = np.empty(n, dtype=np.int64)
@@ -167,15 +144,16 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
         text_len[group, local] = size  # |text i| of each tuple, 0 if it has none
     else:  # one tuple: tuple 0 is a scalar index, and local index = text index
         own_group, own_local, text_len = 0, owner, size[np.newaxis]
+    own_size = size[owner]
     for i in range(max(local) + 1):
         lt = text_len[own_group, i]
         hit = own_local == i
-        seg = np.cumsum(np.concatenate(([False], hit[:-1])))  # restarts after each i
+        seg = np.cumsum(hit) - hit  # restarts after each i
         run = np.minimum.accumulate(gap - seg * big) + seg * big
-        cap = np.where(hit, lt - 1, np.minimum(size[owner], lt))
+        cap = np.where(hit, lt - 1, np.minimum(own_size, lt))
         val = np.where(seg > 0, np.minimum(run, cap), 0)[at]
         peak = np.maximum.reduceat(val, first)
-        where = np.minimum.reduceat(np.where(val == np.repeat(peak, size), at, n), first)
+        where = np.minimum.reduceat(np.where(val == peak[text], at, n), first)
         occ = np.flatnonzero(hit)
         for u in np.flatnonzero(peak > 0).tolist():
             s = int(where[u])
@@ -194,6 +172,58 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
         )
         for relators, table in zip(tuples, found)
     ]
+
+
+def _sorted_rotations(packed, jump, b: int, k: int, top: int):
+    """The sorted rotations and gap[s], the LCP of sorted s - 1 and s capped at `top`.
+
+    Ranks are group heads: the first sorted slot sharing the prefix.  Each doubling level
+    stably re-sorts the groups of two or more only, by (head, rank 2^(k+j) letters on);
+    singletons keep slot and rank.  The one full sort orders ties as the CPU does, so its
+    groups are first put in rotation-index order: the order ends as (final key, index)."""
+    n = len(packed)
+    order = np.argsort(packed)
+    head, tied = _groups(np.arange(n), packed[order])
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = head
+    live = np.flatnonzero(tied)  # slots of unresolved rotations
+    x = order[live]
+    order[live] = x[np.argsort(head[live] * n + x)]  # index order within groups
+    levels, jumps = [rank], [jump]  # level k+j: rank of 2^(k+j) letters, jump as far
+    while 1 << (k + len(levels) - 1) < top and len(live):
+        x = order[live]
+        key = rank[x].astype(np.int64) * n + rank[jumps[-1][x]]
+        by = np.argsort(key, kind="stable")
+        order[live] = x = x[by]
+        head, tied = _groups(live, key[by])
+        rank = rank.copy()
+        rank[x] = head
+        live = live[tied]
+        levels.append(rank)
+        jumps.append(jumps[-1][jumps[-1]])
+    pa, pb = order[:-1].copy(), order[1:].copy()
+    lcp = np.zeros(n - 1, dtype=np.int64)
+    cand = np.flatnonzero(levels[0][pa] == levels[0][pb])  # equal level-k codes
+    ca, cb, deep = pa[cand], pb[cand], lcp[cand]
+    for j in range(len(levels) - 1, -1, -1):
+        same = np.flatnonzero(levels[j][ca] == levels[j][cb])
+        deep[same] += 1 << (k + j)
+        ca[same] = jumps[j][ca[same]]
+        cb[same] = jumps[j][cb[same]]
+    pa[cand], pb[cand], lcp[cand] = ca, cb, deep
+    diff = packed[pa] ^ packed[pb]  # the first differing bit ends the LCP
+    for s in (1, 2, 4, 8, 16, 32):
+        diff |= diff >> s
+    bits = np.bitwise_count(diff).astype(np.int64)  # bit length of the XOR
+    lcp += np.minimum(((b << k) - bits) // b, (1 << k) - 1)
+    return order, np.minimum(np.concatenate(([0], lcp)), top)
+
+
+def _groups(slots, sorted_key):
+    """Each entry's head (the slot starting its run of equal keys) and whether it is tied."""
+    start = np.ones(len(slots) + 1, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=start[1:-1])
+    return np.maximum.accumulate(np.where(start[:-1], slots, 0)), ~(start[:-1] & start[1:])
 
 
 def _location(text: int, offset: int) -> PieceLocation:

@@ -36,6 +36,25 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert done.stdout == run_cli(capsys, *argv)[1]
 
 
+def test_cli_import_loads_no_process_pool():
+    # every `relators` command imports the package; only a run with more
+    # than one worker needs the pool machinery
+    src = str(pathlib.Path(relators.__file__).resolve().parents[1])
+    code = (
+        "import sys, relators.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_sample_is_seeded(capsys, tmp_path):
     code, out1 = run_cli(capsys, "sample", "-n", "2", "-l", "12", "--count", "3", "--seed", "9")
     assert code == 0

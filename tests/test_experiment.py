@@ -436,7 +436,7 @@ def test_worker_pool_is_capped(monkeypatch, trials, cpus, pool):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr("relators.experiment.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
 
     def csv_for(workers, lengths=(8,)):

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,7 +308,13 @@ def test_pair_maxima_batch_never_pairs_across_tuples():
     assert smallcanc._verdicts(batch, Fraction(1, 6)) == [True, True, False, True, True, True]
 
 
-def test_single_tuple_tables_and_witnesses_frozen():
+FROZEN_TABLES = "95cb9b10f20e035c"
+
+
+def frozen_tables_digest():
+    """Digest of the tables and witnesses of 60 seeded tuples, some with a
+    proper power, whose tied rotations fix the witnesses only through the
+    scan's tie order."""
     # _pair_maxima is the batch of one; these tables and witnesses are the
     # per-tuple scan's, so check-sc reports keep their witnesses
     rng = random.Random(2024)
@@ -320,7 +330,42 @@ def test_single_tuple_tables_and_witnesses_frozen():
         lengths, best, wit = _pair_maxima(tuple(t))
         assert smallcanc._pair_maxima_batch((tuple(t),)) == [(lengths, best, wit)]
         tables.append((lengths, sorted(best.items()), sorted(wit.items())))
-    assert hashlib.sha256(repr(tables).encode()).hexdigest()[:16] == "cfd2023533e828c0"
+    return hashlib.sha256(repr(tables).encode()).hexdigest()[:16]
+
+
+def test_single_tuple_tables_and_witnesses_frozen():
+    assert frozen_tables_digest() == FROZEN_TABLES
+
+
+def test_tie_order_does_not_depend_on_the_cpu():
+    # numpy's default argsort dispatches on CPU features, and its AVX-512
+    # sort orders ties differently from the others; with those features
+    # disabled the digest must not move
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]; "
+        "from test_smallcanc import frozen_tables_digest; print(frozen_tables_digest())"
+    )
+    paths = [str(Path(smallcanc.__file__).parents[1]), str(Path(__file__).parent)]
+    digests = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        done = subprocess.run(
+            [sys.executable, "-c", code, *paths], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests == [FROZEN_TABLES, FROZEN_TABLES]
+
+
+@pytest.mark.parametrize("power", [2, 3, 50, 2000])
+def test_proper_power_witness_is_the_first_pair_by_rotation_index(power):
+    # (x1 x2 x2)^e: the rotations at offsets 0, 3, 6, ... tie on every
+    # level and sort first in each text, so the witness is offsets 0 and 3
+    _, best, wit = _pair_maxima((CyclicWord((1, 2, 2) * power, 2),))
+    assert best[(0, 0)] == best[(1, 1)] == 3 * power - 1
+    assert wit[(0, 0)] == wit[(1, 1)] == (0, 3)
 
 
 def test_verdicts_match_check_small_cancellation():
@@ -337,7 +382,8 @@ def test_verdicts_match_check_small_cancellation():
 def doubling_pair_maxima_batch(tuples):
     """Oracle: the plain prefix-doubling scan, one argsort per level from
     the single letters up, every level and jump kept in int64, and the LCP
-    descent stepping down every level to level 0.  The packed scan must
+    descent stepping down every level to level 0.  The sorts are stable,
+    so tied rotations stay in rotation-index order.  The packed scan must
     return the same triples, witness offsets included."""
     parts, group, local = [], [], []  # per text: its tuple, its index there
     for g, relators in enumerate(tuples):
@@ -364,10 +410,10 @@ def doubling_pair_maxima_batch(tuples):
     step = np.arange(1, n + 1)
     step[first + size - 1] = first  # the next letter, cyclically
     levels, jumps = [rank], [step]  # level j: rank of 2^j letters, jump 2^j letters
-    order = np.argsort(rank)
+    order = np.argsort(rank, kind="stable")
     while 1 << (len(levels) - 1) < top and rank[order[-1]] < n - 1:
         key = rank * n + rank[jumps[-1]]
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")
         sorted_key = key[order]
         rank = np.empty(n, dtype=np.int64)
         rank[order[0]] = 0
@@ -478,6 +524,49 @@ def test_packed_scan_matches_doubling_oracle(batch):
 )
 def test_packed_scan_matches_doubling_oracle_on_powers(batch):
     assert smallcanc._pair_maxima_batch(batch) == doubling_pair_maxima_batch(batch)
+
+
+def walk(rng, rank, length, after=0, before=0):
+    """A reduced word of `length` letters over `rank` whose first letter
+    does not cancel `after` and whose last does not cancel `before`."""
+    letters = []
+    alphabet = [a for a in range(-rank, rank + 1) if a]
+    for left in range(length, 0, -1):
+        ban = {-(letters[-1] if letters else after)} | ({-before} if left == 1 else set())
+        letters.append(rng.choice([a for a in alphabet if a not in ban]))
+    return tuple(letters)
+
+
+@st.composite
+def planted_batches(draw):
+    """A tuple of two words sharing a planted block of 40-300 letters (the
+    second copy inverted or not), at random rotations, over rank 2, 5 or
+    130 (packed levels k = 4, 3 and 2), with a proper power or a duplicate
+    beside them; batched alone or twice."""
+    rank = draw(st.sampled_from([2, 5, 130]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    block = walk(rng, rank, draw(st.integers(40, 300)))
+    a = block + walk(rng, rank, draw(st.integers(1, 60)), block[-1], block[0])
+    if draw(st.booleans()):
+        block = tuple(-x for x in reversed(block))
+    b = block + walk(rng, rank, draw(st.integers(1, 60)), block[-1], block[0])
+    relators = [CyclicWord(w, rank).rotation(draw(st.integers(0, len(w) - 1))) for w in (a, b)]
+    extra = draw(st.sampled_from(["none", "power", "duplicate"]))
+    if extra == "power":
+        root = walk(rng, rank, draw(st.integers(1, 6)))
+        root = root if root[0] != -root[-1] else root[:1]
+        relators.append(CyclicWord(root * draw(st.integers(2, 60)), rank))
+    elif extra == "duplicate":
+        relators.append(draw(st.sampled_from(relators)))
+    return [tuple(draw(st.permutations(relators)))] * draw(st.integers(1, 2))
+
+
+@given(planted_batches())
+@settings(max_examples=40, deadline=None)
+def test_packed_scan_matches_doubling_oracle_on_planted_blocks(batch):
+    tables = smallcanc._pair_maxima_batch(batch)
+    assert tables == doubling_pair_maxima_batch(batch)
+    assert max(tables[0][1].values()) >= 40
 
 
 def test_packed_scan_refuses_2_to_the_31_letters():
