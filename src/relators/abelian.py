@@ -99,87 +99,56 @@ def smith_normal_form(
     """Exact Smith normal form D = U * A * V with U, V unimodular.
 
     Returns (D, U, V); D is diagonal with d_1 | d_2 | ... and nonnegative
-    diagonal entries.  Intended for small matrices.  No runtime path calls
-    it: ranks and kernels come from `hermite_row_basis`, and this stays as
-    their tests' oracle.
+    diagonal entries.  No runtime path calls it: ranks and kernels come
+    from `matrix_rank` and `hermite_row_basis`.
+
+    At diagonal position t the pivot p is the entry of least absolute value
+    in the block A[t:, t:], the first in row-major order on a tie (so a
+    pivot already at (t, t) stays there), swapped to (t, t).  Floor
+    division by p clears row t and column t down to remainders smaller
+    than |p|, and a nonzero remainder is the next pivot.  Once they are
+    clear, a block entry that p does not divide has its row added to row t,
+    where the next clearing leaves such a remainder.  So |p| falls every
+    time the position is taken again, and the elimination terminates.
+
+    >>> smith_normal_form([[2, 4], [6, 8]])[0]
+    [[2, 0], [0, 4]]
     """
     A = [list(map(int, r)) for r in rows]
     m = len(A)
     n = ncols if ncols is not None else (len(A[0]) if m else 0)
     if any(len(r) != n for r in A):
         raise ValueError("ragged matrix")
-    U = _identity(m)
-    V = _identity(n)
+    U, V = _identity(m), _identity(n)
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+    def add_row(dst: int, src: int, c: int) -> None:  # row dst += c * row src
+        for M in (A, U):
+            M[dst] = [a + c * b for a, b in zip(M[dst], M[src])]
 
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):  # row dst += c * row src
-        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, c):  # col dst += c * col src
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # pick the nonzero entry of smallest magnitude as pivot
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        # clear row and column t; restart if a remainder creates a smaller pivot
-        dirty = True
-        while dirty:
-            dirty = False
+    for t in range(min(m, n)):
+        while True:
+            block = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+            if not block:
+                return A, U, V
+            _, i, j = min(block)
+            A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+            for row in A + V:
+                row[t], row[j] = row[j], row[t]
+            p = A[t][t]
             for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
+                add_row(i, t, -(A[i][t] // p))
             for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # enforce divisibility d_t | entries of the remaining block
-        fixed = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    add_row(i, t, 1)
-                    fixed = True
-                    break
-            if fixed:
+                q = A[t][j] // p
+                for row in A + V:
+                    row[j] -= q * row[t]
+            if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1 :]):
+                continue
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in A[i][t + 1 :])), None)
+            if bad is None:
                 break
-        if fixed:
-            continue  # re-run elimination at the same t
+            add_row(t, bad, 1)
         if A[t][t] < 0:
-            negate_row(t)
-        t += 1
+            A[t], U[t] = [-a for a in A[t]], [-a for a in U[t]]
     return A, U, V
 
 

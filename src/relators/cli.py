@@ -32,7 +32,6 @@ from .experiment import (
     PREDICATES,
     build_config,
     config_values,
-    parse_lengths,
     rows_to_csv,
     run_experiment,
     tau_count,
@@ -342,20 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("experiment", help="seeded batch experiments to CSV")
     sp.add_argument("--config", help="key = value config file")
     # each flag sets the config key of its name, over the file's value
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--lengths", type=parse_lengths, help="comma-separated lengths")
-    sp.add_argument("--predicate", choices=PREDICATES)
-    sp.add_argument("--lambda", dest="lambda", metavar="LAM", type=parse_fraction)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--box", type=int)
-    sp.add_argument("--mode", choices=MODES)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--timing", action="store_true", default=None)
-    sp.add_argument("--out")
+    choices = {"predicate": PREDICATES, "mode": MODES}
+    for key, parse in CONFIG_PARSERS.items():
+        if key == "timing":
+            sp.add_argument("--timing", action="store_true", default=None)
+            continue
+        note = "comma-separated lengths" if key == "lengths" else None
+        sp.add_argument(f"--{key}", type=parse, choices=choices.get(key), help=note)
     sp.set_defaults(func=_cmd_experiment)
 
     sp = sub.add_parser("tau-count", help="exact counts for the insertion map")

@@ -278,17 +278,6 @@ def _run_trials(args: tuple[PredicateSpec, int, int, int, int, int, int]) -> int
     return _successes(spec, n, tuples, itertools.repeat(1))
 
 
-def _all_tuples(
-    n: int, m: int, length: int, budget: int
-) -> tuple[int, Iterator[tuple[CyclicWord, ...]]]:
-    """The number of ordered m-tuples of cyclically reduced length-l words
-    and an iterator over them in lexicographic order; refused before any
-    enumeration when the number exceeds the budget."""
-    total = _space(n, m, length, budget)
-    pool = list(enumerate_cyclically_reduced(n, length))
-    return total, itertools.product(pool, repeat=m)
-
-
 def _space(n: int, m: int, length: int, budget: int) -> int:
     """The number of ordered m-tuples of cyclically reduced length-l words;
     refused when it exceeds the budget."""
@@ -301,8 +290,8 @@ def _space(n: int, m: int, length: int, budget: int) -> int:
 def _orbits(
     n: int, m: int, length: int, budget: int
 ) -> tuple[int, Iterator[tuple[tuple[CyclicWord, ...], int]]]:
-    """The number of ordered m-tuples, as `_all_tuples` counts and budgets
-    it, and an iterator over their orbits under rotating any relator and
+    """The number of ordered m-tuples, as `_space` counts and budgets it,
+    and an iterator over their orbits under rotating any relator and
     permuting the relators: one (representative, orbit size) per multiset
     of rotation classes.
 
@@ -405,11 +394,11 @@ def tau_count(n: int, length: int, budget: int = 1_000_000) -> TauCountResult:
     if n < 2:
         raise ValueError("tau-count needs n >= 2")
     m = n - 1
-    r_count, tuples = _all_tuples(n, m, length, budget)
+    r_count = _space(n, m, length, budget)  # refused before any enumeration
     r_prime = 0
     image = set()
     bases: dict[tuple, list] = {}  # the basis depends only on the exponent sums
-    for combo in tuples:
+    for combo in itertools.product(enumerate_cyclically_reduced(n, length), repeat=m):
         key = tuple(tuple([r.exponent_sum(g) for g in range(1, n + 1)]) for r in combo)
         basis = bases.get(key)
         if basis is None:

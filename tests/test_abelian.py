@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relators.abelian import (
     Slope,
@@ -159,11 +159,19 @@ matrices_st = st.lists(
 
 @given(matrices_st)
 @settings(max_examples=150)
+# inputs on which a row/column Euclid loop without a least-entry pivot grows
+# its entries without bound
+@example([[6, -6, 1, 4, -5], [-1, -3, 6, -4, -6], [-4, 4, 6, 5, 6], [-5, 6, -4, 0, -1],
+          [5, 3, 5, -4, -3], [-5, 6, -4, 0, -1]])
+@example([[-5, 6, 1, -3, -4], [2, -6, -5, -6, -6], [1, 2, 4, 5, -4], [3, -4, -5, 3, 3],
+          [3, 2, 5, 0, 2], [6, 0, 4, -6, 3], [4, 3, 5, 0, -6], [6, 0, 4, -6, 3]])
 def test_smith_normal_form_properties(rows):
     d, u, v = smith_normal_form(rows)
     assert matmul(matmul(u, rows), v) == d
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
+    # a coefficient blow-up fails here instead of hanging the suite
+    assert all(abs(x).bit_length() <= 128 for m in (u, v) for row in m for x in row)
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     for i, row in enumerate(d):
         for j, x in enumerate(row):
@@ -175,6 +183,12 @@ def test_smith_normal_form_properties(rows):
             assert b % a == 0
         else:
             assert b == 0
+
+
+def test_smith_normal_form_edge_shapes():
+    assert smith_normal_form([], 3) == ([], [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_normal_form([[1, 2], [3]])
 
 
 @given(matrices_st)

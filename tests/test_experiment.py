@@ -210,7 +210,8 @@ def ordered_exhaustive_rows(cfg):
     order and chunks of 16, one predicate verdict per tuple."""
     rows = []
     for length in cfg.lengths:
-        trials, tuples = experiment._all_tuples(cfg.n, cfg.m, length, cfg.budget)
+        trials = experiment._space(cfg.n, cfg.m, length, cfg.budget)
+        tuples = itertools.product(enumerate_cyclically_reduced(cfg.n, length), repeat=cfg.m)
         successes = 0
         for chunk in iter(lambda: tuple(itertools.islice(tuples, 16)), ()):
             if cfg.predicate.name == "c-prime":
