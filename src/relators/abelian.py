@@ -11,6 +11,7 @@ arithmetic (Hermite elimination), never floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -19,7 +20,8 @@ from .words import CyclicWord, Presentation, Word, _trusted
 
 @dataclass(frozen=True, slots=True)
 class Slope:
-    """Integer vector of generator images under phi: F_n -> Z.
+    """Integer vector of generator images under phi: F_n -> Z; each value
+    must be an integer (`operator.index`), so a float raises TypeError.
 
     >>> phi = Slope((0, -1))
     >>> phi.of_letter(2), phi.of_letter(-2), phi.of_letter(1)
@@ -29,7 +31,7 @@ class Slope:
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]):
-        object.__setattr__(self, "values", tuple(int(v) for v in values))
+        object.__setattr__(self, "values", tuple(map(operator.index, values)))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -43,7 +43,7 @@ from .mincond import (
     _standard_form,
     standard_witness,
 )
-from .smallcanc import PieceReport, check_small_cancellation, longest_piece
+from .smallcanc import PieceReport, _exact, check_small_cancellation, longest_piece
 from .words import (
     CyclicWord,
     Presentation,
@@ -189,7 +189,8 @@ def embed_presentation(
 
     With guarantee_c16 the theorem hypotheses are enforced up front: the
     source must pass C'(1/(6+epsilon)) and every relator length must exceed
-    12 + 72/epsilon (exact rational comparison).
+    12 + 72/epsilon (exact rational comparison).  epsilon must be an int or
+    a Fraction; a float or str raises TypeError.
     """
     m = len(p.relators)
     n = p.rank
@@ -197,12 +198,12 @@ def embed_presentation(
         raise ValueError(f"max_block_height must be >= 2, got {max_block_height}")
     if m > n - 2:
         raise ValueError("embedding requires at most n-2 relators")
+    eps = None if epsilon is None else _exact(epsilon, "epsilon")
     _, relators, std_phi, relab = _standard_form(p.relators, phi)
 
     if guarantee_c16:
-        if epsilon is None or Fraction(epsilon) <= 0:
+        if eps is None or eps <= 0:
             raise ValueError("the C'(1/6) guarantee needs epsilon > 0")
-        eps = Fraction(epsilon)
         lam = 1 / (6 + eps)
         ok, rep = check_small_cancellation(relators, lam)
         if not ok:

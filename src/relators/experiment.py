@@ -22,7 +22,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -36,7 +36,7 @@ from .abelian import (
 )
 from .fox import parse_fraction
 from .mincond import MinConditionWitness, _tau_insert, check_minimum_condition
-from .smallcanc import _verdicts, check_small_cancellation
+from .smallcanc import _lambda, _verdicts
 from .words import (
     CyclicWord,
     Presentation,
@@ -44,11 +44,6 @@ from .words import (
     enumerate_cyclically_reduced,
     enumerate_necklaces,
     sample_cyclically_reduced,
-)
-
-CSV_HEADER = (
-    "predicate,n,m,l,mode,trials,successes,"
-    "estimate_num,estimate_den_or_point,ci_lo,ci_hi,seed,wall_ms"
 )
 
 PREDICATES = ("c-prime", "b1", "min-condition", "slope-classes")
@@ -89,8 +84,9 @@ class PredicateSpec:
 
     def validate(self, n: int, m: int) -> None:
         if self.name == "c-prime":
-            if self.lam is None or not (0 < self.lam <= 1):
+            if self.lam is None:
                 raise ValueError("c-prime needs 0 < lambda <= 1")
+            _lambda(self.lam)
         elif self.name == "b1":
             pass
         elif self.name == "min-condition":
@@ -156,21 +152,12 @@ class ExperimentRow:
         return float(self.estimate_den_or_point)
 
     def csv_fields(self) -> list[str]:
-        return [
-            self.predicate,
-            str(self.n),
-            str(self.m),
-            str(self.l),
-            self.mode,
-            str(self.trials),
-            str(self.successes),
-            "" if self.estimate_num is None else str(self.estimate_num),
-            self.estimate_den_or_point,
-            "" if self.ci_lo is None else repr(self.ci_lo),
-            "" if self.ci_hi is None else repr(self.ci_hi),
-            str(self.seed),
-            str(self.wall_ms),
-        ]
+        """One CSV field per dataclass field: empty for None, repr for a float."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
 def derive_seed(master: int, length: int, trial: int) -> int:
@@ -237,7 +224,7 @@ def evaluate_predicate(
     m = len(relators)
     p = Presentation(n, relators)
     if spec.name == "c-prime":
-        return check_small_cancellation(relators, spec.lam)[0]
+        return _verdicts((relators,), spec.lam)[0]
     if spec.name == "b1":
         return first_betti_number(p) == max(n - m, 0)
     if spec.name == "min-condition":
@@ -317,7 +304,10 @@ def _orbits(
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
-    """One row per configured length; deterministic for a fixed config."""
+    """One row per configured length; deterministic for a fixed config.
+
+    Monte Carlo trials go to up to `cfg.workers` processes; exhaustive mode
+    runs in the calling process whatever `cfg.workers` says."""
     cfg.validate()
     # a fork pool starts every worker at once: start one pool for the whole
     # run, with no more workers than chunks of trials per length or CPUs

@@ -59,16 +59,12 @@ class PieceReport:
         return (self.subword, self.location_a, self.location_b)
 
 
-def _pair_maxima(relators: Sequence[CyclicWord]):
-    """For each unordered pair of oriented texts (2 per relator), the longest
-    common cyclic subword length after the full-length collapsing rule, plus
-    a witness offset pair.  Returns (lengths_per_text, best, witness_offsets)
-    with dict keys (text_a, text_b), text = 2*relator + (1 if inverted)."""
-    return _pair_maxima_batch((relators,))[0]
-
-
 def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
-    """The `_pair_maxima` triple of every relator tuple, from one sort.
+    """The pair table of every relator tuple, from one sort: for each
+    unordered pair of oriented texts (2 per relator) sharing a piece, the
+    longest common cyclic subword length after the full-length collapsing
+    rule and a witness offset pair, as {(text_a, text_b): (length,
+    (offset_a, offset_b))} with text = 2*relator + (1 if inverted).
 
     Every rotation of every text is sorted by prefix doubling on cyclic
     shifts (rank level j orders the first 2^j letters), stopping once the
@@ -93,9 +89,10 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
 
     Letters are ranked as (tuple index, letter) pairs, so every rotation of
     one tuple sorts before every rotation of the next and the LCP between
-    them is 0: a running minimum never carries a piece across tuples.  One
-    scan per local text index i serves every tuple at once, capped by the
-    length of text i of each rotation's own tuple."""
+    them is 0: a running minimum never carries a piece across tuples, and a
+    tuple's table is the same alone or in any batch.  One scan per local
+    text index i serves every tuple at once, capped by the length of text i
+    of each rotation's own tuple."""
     n = 2 * sum(len(r) for relators in tuples for r in relators)
     if n >= 1 << 31:
         raise ValueError(f"{n} letters: the piece scan takes fewer than 2^31")
@@ -112,13 +109,10 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     text = np.repeat(np.arange(len(parts)), size)
     top = max(lengths)
     group = np.asarray(group)
-    batched = len(tuples) > 1
 
     codes = np.concatenate(parts)
     span = 2 * int(np.abs(codes).max()) + 1
-    codes += span // 2
-    if batched:
-        codes += np.repeat(group * span, size)
+    codes += (group * span + span // 2)[text]
     present = np.cumsum(np.bincount(codes) > 0)
     packed = (present - 1)[codes]  # dense (tuple, letter) ranks
     # every text comes with its inverse, so there are >= 2 ranks and b >= 1
@@ -138,23 +132,19 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     at[order] = np.arange(n)  # sorted index of each rotation, text by text
     big = top + 1
     found: list[dict[tuple[int, int], tuple[int, int, tuple[int, int]]]] = [{} for _ in tuples]
-    if batched:
-        own_group, own_local = group[owner], np.asarray(local)[owner]
-        text_len = np.zeros((len(tuples), max(local) + 1), dtype=np.int64)
-        text_len[group, local] = size  # |text i| of each tuple, 0 if it has none
-    else:  # one tuple: tuple 0 is a scalar index, and local index = text index
-        own_group, own_local, text_len = 0, owner, size[np.newaxis]
-    own_size = size[owner]
+    text_local, own_size = np.asarray(local), size[owner]
     for i in range(max(local) + 1):
-        lt = text_len[own_group, i]
-        hit = own_local == i
+        hit = (text_local == i)[owner]
+        occ = np.flatnonzero(hit)
         seg = np.cumsum(hit) - hit  # restarts after each i
         run = np.minimum.accumulate(gap - seg * big) + seg * big
-        cap = np.where(hit, lt - 1, np.minimum(own_size, lt))
-        val = np.where(seg > 0, np.minimum(run, cap), 0)[at]
+        # tuples meet at LCP 0, so a run above 0 reaches back to text i of its
+        # own tuple: cap it at |t| - 1 within text i, at min(|t|, |text i|)
+        # across two texts, and at 0 before the first occurrence
+        reach = np.concatenate(([0], own_size[occ]))[seg]
+        val = np.minimum(run, np.minimum(own_size - hit, reach))[at]
         peak = np.maximum.reduceat(val, first)
         where = np.minimum.reduceat(np.where(val == peak[text], at, n), first)
-        occ = np.flatnonzero(hit)
         for u in np.flatnonzero(peak > 0).tolist():
             s = int(where[u])
             prev, cur = int(offs[occ[seg[s] - 1]]), int(offs[s])
@@ -164,14 +154,7 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
             table = found[group[u]]
             if key not in table or cand < table[key]:
                 table[key] = cand
-    return [
-        (
-            [len(r) for r in relators for _ in range(2)],
-            {k: -cand[0] for k, cand in table.items()},
-            {k: cand[2] for k, cand in table.items()},
-        )
-        for relators, table in zip(tuples, found)
-    ]
+    return [{k: (-cand[0], cand[2]) for k, cand in table.items()} for table in found]
 
 
 def _sorted_rotations(packed, jump, b: int, k: int, top: int):
@@ -226,26 +209,17 @@ def _groups(slots, sorted_key):
     return np.maximum.accumulate(np.where(start[:-1], slots, 0)), ~(start[:-1] & start[1:])
 
 
-def _location(text: int, offset: int) -> PieceLocation:
-    return PieceLocation(relator=text // 2, inverted=bool(text % 2), offset=offset)
-
-
-def _report_for(
-    relators: Sequence[CyclicWord], key: tuple[int, int], offs: tuple[int, int], length: int
-) -> PieceReport:
-    a, b = key
-    ra = relators[a // 2]
-    oriented = ra if a % 2 == 0 else ra.inverse()
-    sub = oriented.cyclic_subword(offs[0], length)
-    return PieceReport(length, sub, _location(a, offs[0]), _location(b, offs[1]))
-
-
-def _longest_report(relators: Sequence[CyclicWord], best, wit) -> PieceReport:
-    """The longest piece in a `_pair_maxima` table, first key on ties."""
-    if not best:
+def _report(relators: Sequence[CyclicWord], table, keys) -> PieceReport:
+    """The longest piece of a `_pair_maxima_batch` table among `keys`
+    (sorted text pairs), first key on ties, with its witnessing occurrences."""
+    if not keys:
         return PieceReport(0, None, None, None)
-    key = max(sorted(best), key=best.__getitem__)
-    return _report_for(relators, key, wit[key], best[key])
+    key = max(keys, key=lambda k: table[k][0])
+    length, offs = table[key]
+    r = relators[key[0] // 2]
+    sub = (r.inverse() if key[0] % 2 else r).cyclic_subword(offs[0], length)
+    a, b = (PieceLocation(t // 2, bool(t % 2), o) for t, o in zip(key, offs))
+    return PieceReport(length, sub, a, b)
 
 
 def _validate(relators: Sequence[CyclicWord]) -> None:
@@ -254,6 +228,22 @@ def _validate(relators: Sequence[CyclicWord]) -> None:
     rank = relators[0].rank
     if any(r.rank != rank for r in relators):
         raise ValueError("relators must share a rank")
+
+
+def _exact(value, name: str) -> Fraction:
+    """An int or Fraction `value` as a Fraction; a float is not the rational
+    it was meant to be, and text goes through `parse_fraction`."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or Fraction, not {type(value).__name__}: {value!r}")
+    return Fraction(value)
+
+
+def _lambda(lam) -> Fraction:
+    """The C'(lam) threshold: an exact rational with 0 < lam <= 1."""
+    lam = _exact(lam, "lambda")
+    if not 0 < lam <= 1:
+        raise ValueError("lambda must satisfy 0 < lambda <= 1")
+    return lam
 
 
 def longest_piece(relators: Sequence[CyclicWord]) -> PieceReport:
@@ -266,8 +256,8 @@ def longest_piece(relators: Sequence[CyclicWord]) -> PieceReport:
     2
     """
     _validate(relators)
-    _, best, wit = _pair_maxima(relators)
-    return _longest_report(relators, best, wit)
+    (table,) = _pair_maxima_batch((relators,))
+    return _report(relators, table, sorted(table))
 
 
 def check_small_cancellation(
@@ -283,29 +273,26 @@ def check_small_cancellation(
     >>> check_small_cancellation((pc("x1 x2 X1 X2"),), Fraction(1, 3))[0]
     True
     """
-    lam = Fraction(lam)
-    if not (0 < lam <= 1):
-        raise ValueError("lambda must satisfy 0 < lambda <= 1")
+    lam = _lambda(lam)
     _validate(relators)
-    lengths, best, wit = _pair_maxima(relators)
-    violating = _violating(lengths, best, lam)
-    if violating:
-        key = max(violating, key=best.__getitem__)
-        return False, _report_for(relators, key, wit[key], best[key])
-    return True, _longest_report(relators, best, wit)
+    (table,) = _pair_maxima_batch((relators,))
+    violating = _violating(relators, table, lam)
+    return not violating, _report(relators, table, violating or sorted(table))
 
 
-def _violating(lengths, best, lam: Fraction) -> list[tuple[int, int]]:
-    """The text pairs of a `_pair_maxima` table whose longest piece breaks
-    C'(lam): piece length * den >= num * relator length, exactly."""
+def _violating(relators: Sequence[CyclicWord], table, lam: Fraction) -> list[tuple[int, int]]:
+    """The sorted text pairs of a `_pair_maxima_batch` table whose longest
+    piece breaks C'(lam): piece length * den >= num * relator length, exactly."""
     return [
-        key
-        for key in sorted(best)
-        if best[key] * lam.denominator >= lam.numerator * min(lengths[key[0]], lengths[key[1]])
+        (a, b)
+        for a, b in sorted(table)
+        if table[a, b][0] * lam.denominator
+        >= lam.numerator * min(len(relators[a // 2]), len(relators[b // 2]))
     ]
 
 
 def _verdicts(tuples: Sequence[Sequence[CyclicWord]], lam: Fraction) -> list[bool]:
-    """The C'(lam) verdict of each relator tuple (0 < lam <= 1, tuples
-    validated by the caller), from one batched scan."""
-    return [not _violating(lengths, best, lam) for lengths, best, _ in _pair_maxima_batch(tuples)]
+    """The C'(lam) verdict of each relator tuple (tuples validated by the
+    caller), from one batched scan."""
+    lam = _lambda(lam)
+    return [not _violating(t, table, lam) for t, table in zip(tuples, _pair_maxima_batch(tuples))]

@@ -550,6 +550,15 @@ def test_slope_accessors():
     assert Slope((0, 0)).is_zero()
 
 
+def test_slope_values_must_be_integers():
+    # int() would truncate 1.7 to 1 and parse "3"; operator.index refuses both
+    for bad in ((1.7, -2), (0, "3"), (Fraction(1), -1)):
+        with pytest.raises(TypeError):
+            Slope(bad)
+    with pytest.raises(TypeError):
+        Slope((0, -1)).scaled(0.5)
+
+
 def test_coefficient_range_is_exact_at_large_magnitude():
     # floats give c <= 3 here: (3*10**17 - 1) / 10**17 rounds to 3.0
     pv, s, box = 10**17, 1, 3 * 10**17

@@ -169,6 +169,16 @@ def test_embed_guarantee_validations():
         )
 
 
+@pytest.mark.parametrize("eps", [1.0, "1", "1e0", 0.5])
+@pytest.mark.parametrize("guarantee", [True, False])
+def test_embed_epsilon_must_be_exact(eps, guarantee):
+    # Fraction(eps) would take a float's binary value and expand exponent
+    # strings; epsilon follows the lambda rule instead
+    p = Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),))
+    with pytest.raises(TypeError, match="epsilon must be an int or Fraction"):
+        embed_presentation(p, Slope((0, 2, -1)), eps, guarantee_c16=guarantee)
+
+
 def test_embed_guaranteed_random_source():
     rng = random.Random(77)
     while True:

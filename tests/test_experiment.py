@@ -13,6 +13,7 @@ from relators import experiment, smallcanc
 from relators.abelian import abelianization_matrix, enumerate_kernel_slopes, first_betti_number
 from relators.experiment import (
     CSV_HEADER,
+    MODES,
     PREDICATES,
     ExperimentConfig,
     ExperimentRow,
@@ -322,6 +323,22 @@ def test_predicate_invariant_under_rotation_and_relator_order(name, data):
         assert _verdicts([relators, moved], spec.lam) == [verdict, verdict]
 
 
+def test_float_lambda_raises_one_type_error():
+    # run_experiment once died on lam.denominator while evaluate_predicate
+    # took Fraction(0.5); every c-prime entry now raises the lambda rule's error
+    spec = PredicateSpec("c-prime", lam=0.5)
+    messages = []
+    for mode in MODES:
+        cfg = ExperimentConfig(n=2, m=1, lengths=(3,), predicate=spec, mode=mode, trials=4)
+        with pytest.raises(TypeError) as info:
+            run_experiment(cfg)
+        messages.append(str(info.value))
+    with pytest.raises(TypeError) as info:
+        evaluate_predicate(spec, 2, (parse_cyclic_word("x1 x2", 2),))
+    messages.append(str(info.value))
+    assert messages == ["lambda must be an int or Fraction, not float: 0.5"] * 3
+
+
 def test_exhaustive_budget_guard():
     cfg = ExperimentConfig(
         n=2,
@@ -461,7 +478,10 @@ def test_csv_shape():
     )
     text = rows_to_csv(run_experiment(cfg))
     lines = text.splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == (
+        "predicate,n,m,l,mode,trials,successes,"
+        "estimate_num,estimate_den_or_point,ci_lo,ci_hi,seed,wall_ms"
+    )
     parsed = list(csv.reader(io.StringIO(text)))
     assert len(parsed) == 2
     assert len(parsed[1]) == len(CSV_HEADER.split(","))

@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relators import smallcanc
-from relators.smallcanc import (
-    PieceReport,
-    _pair_maxima,
-    check_small_cancellation,
-    longest_piece,
-)
+from relators.smallcanc import PieceReport, check_small_cancellation, longest_piece
 from relators.words import (
     CyclicWord,
     enumerate_cyclically_reduced,
@@ -77,6 +72,16 @@ def brute_c_prime(relators, lam):
     return True
 
 
+def split(table):
+    """A scan table as (longest piece lengths, witness offsets)."""
+    return {k: v[0] for k, v in table.items()}, {k: v[1] for k, v in table.items()}
+
+
+def scan_one(relators):
+    """One tuple's table from the batch scan, split."""
+    return split(smallcanc._pair_maxima_batch((relators,))[0])
+
+
 def test_power_relator_collapse():
     r = parse_cyclic_word("x1 x1 x1 x1 x1 x1 x1 x1", 2)
     assert longest_piece((r,)).longest_piece_length == 7
@@ -108,7 +113,7 @@ def test_piece_witness_is_a_real_double_occurrence():
 def test_pair_maxima_against_brute_force_enumerated():
     words = [w for w in enumerate_cyclically_reduced(2, 4)]
     for r in words[::5]:
-        _, best, _ = _pair_maxima((r,))
+        best, _ = scan_one((r,))
         assert best == brute_pair_maxima((r,))
 
 
@@ -120,7 +125,7 @@ def test_pair_maxima_against_brute_force_sampled_pairs():
                 sample_cyclically_reduced(n, l, rng),
                 sample_cyclically_reduced(n, rng.randrange(2, l + 1), rng),
             )
-            _, best, _ = _pair_maxima(t)
+            best, _ = scan_one(t)
             assert best == brute_pair_maxima(t)
 
 
@@ -165,6 +170,19 @@ def test_lambda_validation():
     for bad in (Fraction(0), Fraction(-1, 6), Fraction(3, 2)):
         with pytest.raises(ValueError):
             check_small_cancellation((r,), bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", 1e-1])
+def test_lambda_must_be_exact(bad):
+    # a float is not the rational it was meant to be, and text goes
+    # through parse_fraction: both raise TypeError, as float ring
+    # coefficients do
+    r = parse_cyclic_word("x1 x2", 2)
+    with pytest.raises(TypeError, match="lambda must be an int or Fraction"):
+        check_small_cancellation((r,), bad)
+    with pytest.raises(TypeError, match="lambda must be an int or Fraction"):
+        smallcanc._verdicts([(r,)], bad)
+    assert check_small_cancellation((r,), 1)[0]
 
 
 def test_no_pieces_at_all():
@@ -229,15 +247,15 @@ def assert_witnesses_valid(relators, best, wit):
 @given(relator_tuples())
 @settings(max_examples=300, deadline=None)
 def test_pair_maxima_tables_and_every_witness(relators):
-    _, best, wit = _pair_maxima(relators)
+    best, wit = scan_one(relators)
     assert best == brute_pair_maxima(relators)
     assert_witnesses_valid(relators, best, wit)
 
 
 def test_success_report_comes_from_the_one_scan(monkeypatch):
     calls = []
-    scan = smallcanc._pair_maxima
-    monkeypatch.setattr(smallcanc, "_pair_maxima", lambda rels: calls.append(rels) or scan(rels))
+    scan = smallcanc._pair_maxima_batch
+    monkeypatch.setattr(smallcanc, "_pair_maxima_batch", lambda ts: calls.append(ts) or scan(ts))
     rng = random.Random(31)
     passed = 0
     for _ in range(20):
@@ -261,7 +279,7 @@ def test_long_proper_power_next_to_random_word(root_length, power):
     periodic = CyclicWord(root * power, 2)
     other = sample_cyclically_reduced(2, 2000, rng)
     relators = (periodic, other)
-    _, best, wit = _pair_maxima(relators)
+    best, wit = scan_one(relators)
     assert best[(0, 0)] == best[(1, 1)] == len(periodic) - 1
     assert max(best.values()) == len(periodic) - 1
     assert max(v for (a, b), v in best.items() if b >= 2) < 40  # random: O(log) pieces
@@ -292,10 +310,21 @@ def tuple_batches(draw):
 def test_pair_maxima_batch_tables_and_every_witness(batch):
     results = smallcanc._pair_maxima_batch(batch)
     assert len(results) == len(batch)
-    for relators, (lengths, best, wit) in zip(batch, results):
-        assert lengths == [len(t) for t in oriented_texts(relators)]
+    for relators, table in zip(batch, results):
+        best, wit = split(table)
         assert best == brute_pair_maxima(relators)
         assert_witnesses_valid(relators, best, wit)
+
+
+@given(tuple_batches(), relator_tuples(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_a_tuples_table_does_not_depend_on_its_batch(others, relators, middle):
+    # alone, first, last or between other tuples: the scan has one path for
+    # every batch size, so the table and its witnesses are the same
+    (alone,) = smallcanc._pair_maxima_batch((relators,))
+    for at in (0, len(others), min(middle, len(others))):
+        batch = others[:at] + [relators] + others[at:]
+        assert smallcanc._pair_maxima_batch(batch)[at] == alone
 
 
 def test_pair_maxima_batch_never_pairs_across_tuples():
@@ -304,7 +333,7 @@ def test_pair_maxima_batch_never_pairs_across_tuples():
     x1, x1x2 = parse_cyclic_word("x1", 2), parse_cyclic_word("x1 x2", 2)
     batch = [(x1,), (x1,), (parse_cyclic_word("x1 x1", 2),), (x1,), (x1x2,), (x1x2,)]
     tables = smallcanc._pair_maxima_batch(batch)
-    assert [best for _, best, _ in tables] == [{}, {}, {(0, 0): 1, (1, 1): 1}, {}, {}, {}]
+    assert [split(t)[0] for t in tables] == [{}, {}, {(0, 0): 1, (1, 1): 1}, {}, {}, {}]
     assert smallcanc._verdicts(batch, Fraction(1, 6)) == [True, True, False, True, True, True]
 
 
@@ -315,8 +344,8 @@ def frozen_tables_digest():
     """Digest of the tables and witnesses of 60 seeded tuples, some with a
     proper power, whose tied rotations fix the witnesses only through the
     scan's tie order."""
-    # _pair_maxima is the batch of one; these tables and witnesses are the
-    # per-tuple scan's, so check-sc reports keep their witnesses
+    # hashed as (text lengths, sorted lengths, sorted witnesses), the view
+    # the digest was frozen with, so check-sc reports keep their witnesses
     rng = random.Random(2024)
     tables = []
     for _ in range(60):
@@ -327,8 +356,8 @@ def frozen_tables_digest():
         ]
         if rng.random() < 0.3:
             t.append(CyclicWord(t[0].letters * 3, n))
-        lengths, best, wit = _pair_maxima(tuple(t))
-        assert smallcanc._pair_maxima_batch((tuple(t),)) == [(lengths, best, wit)]
+        lengths = [len(r) for r in t for _ in range(2)]
+        best, wit = scan_one(tuple(t))
         tables.append((lengths, sorted(best.items()), sorted(wit.items())))
     return hashlib.sha256(repr(tables).encode()).hexdigest()[:16]
 
@@ -363,7 +392,7 @@ def test_tie_order_does_not_depend_on_the_cpu():
 def test_proper_power_witness_is_the_first_pair_by_rotation_index(power):
     # (x1 x2 x2)^e: the rotations at offsets 0, 3, 6, ... tie on every
     # level and sort first in each text, so the witness is offsets 0 and 3
-    _, best, wit = _pair_maxima((CyclicWord((1, 2, 2) * power, 2),))
+    best, wit = scan_one((CyclicWord((1, 2, 2) * power, 2),))
     assert best[(0, 0)] == best[(1, 1)] == 3 * power - 1
     assert wit[(0, 0)] == wit[(1, 1)] == (0, 3)
 
@@ -384,7 +413,7 @@ def doubling_pair_maxima_batch(tuples):
     the single letters up, every level and jump kept in int64, and the LCP
     descent stepping down every level to level 0.  The sorts are stable,
     so tied rotations stay in rotation-index order.  The packed scan must
-    return the same triples, witness offsets included."""
+    return the same tables, witness offsets included."""
     parts, group, local = [], [], []  # per text: its tuple, its index there
     for g, relators in enumerate(tuples):
         for r in relators:
@@ -399,13 +428,10 @@ def doubling_pair_maxima_batch(tuples):
     text = np.repeat(np.arange(len(parts)), size)
     top = max(lengths)
     group = np.asarray(group)
-    batched = len(tuples) > 1
 
     codes = np.concatenate(parts)
     span = 2 * int(np.abs(codes).max()) + 1
-    codes += span // 2
-    if batched:
-        codes += np.repeat(group * span, size)
+    codes += np.repeat(group * span + span // 2, size)
     rank = (np.cumsum(np.bincount(codes) > 0) - 1)[codes]  # dense (tuple, letter) ranks
     step = np.arange(1, n + 1)
     step[first + size - 1] = first  # the next letter, cyclically
@@ -436,12 +462,9 @@ def doubling_pair_maxima_batch(tuples):
     at[order] = np.arange(n)  # sorted index of each rotation, text by text
     big = top + 1
     found: list[dict[tuple[int, int], tuple[int, int, tuple[int, int]]]] = [{} for _ in tuples]
-    if batched:
-        own_group, own_local = group[owner], np.asarray(local)[owner]
-        text_len = np.zeros((len(tuples), max(local) + 1), dtype=np.int64)
-        text_len[group, local] = size  # |text i| of each tuple, 0 if it has none
-    else:  # one tuple: tuple 0 is a scalar index, and local index = text index
-        own_group, own_local, text_len = 0, owner, size[np.newaxis]
+    own_group, own_local = group[owner], np.asarray(local)[owner]
+    text_len = np.zeros((len(tuples), max(local) + 1), dtype=np.int64)
+    text_len[group, local] = size  # |text i| of each tuple, 0 if it has none
     for i in range(max(local) + 1):
         lt = text_len[own_group, i]
         hit = own_local == i
@@ -461,14 +484,7 @@ def doubling_pair_maxima_batch(tuples):
             table = found[group[u]]
             if key not in table or cand < table[key]:
                 table[key] = cand
-    return [
-        (
-            [len(r) for r in relators for _ in range(2)],
-            {k: -cand[0] for k, cand in table.items()},
-            {k: cand[2] for k, cand in table.items()},
-        )
-        for relators, table in zip(tuples, found)
-    ]
+    return [{k: (-cand[0], cand[2]) for k, cand in table.items()} for table in found]
 
 
 @st.composite
@@ -566,7 +582,7 @@ def planted_batches(draw):
 def test_packed_scan_matches_doubling_oracle_on_planted_blocks(batch):
     tables = smallcanc._pair_maxima_batch(batch)
     assert tables == doubling_pair_maxima_batch(batch)
-    assert max(tables[0][1].values()) >= 40
+    assert max(length for length, _ in tables[0].values()) >= 40
 
 
 def test_packed_scan_refuses_2_to_the_31_letters():
