@@ -170,6 +170,29 @@ def _visible_piece(w: Word, big_n: int, y_len: int) -> bool:
     return w.letters[a : a + size] == w.letters[b : b + size]
 
 
+def _image_heights(words: tuple[Word, ...], step: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """For each letter +-g, the height total and the least prefix height
+    (the empty prefix included) of its image, w_g or w_g^-1."""
+    out = {}
+    for g, w in enumerate(words, 1):
+        for a, image in ((g, w), (-g, w.inverse())):
+            heights = list(_heights(image.letters, step))
+            out[a] = (heights[-1], min(heights))
+    return out
+
+
+def _raw_min_height(letters: tuple[int, ...], image_heights: dict[int, tuple[int, int]]) -> int:
+    """min(_heights(raw image of letters, step)), exactly, without walking the
+    raw image: each letter's image reaches its least height above the height
+    at which it starts."""
+    height = low = 0
+    for a in letters:
+        total, least = image_heights[a]
+        low = min(low, height + least)
+        height += total
+    return low
+
+
 def _target_slope(m: int) -> Slope:
     return Slope((0,) * m + (-1,))
 
@@ -234,6 +257,7 @@ def embed_presentation(
 
         sub = Substitution(words)
         raws = [sub.raw_image(r) for r in relators]
+        image_heights = _image_heights(words, step)
         target = []
         stats_raw = []
         stats_cancel = []
@@ -244,7 +268,7 @@ def embed_presentation(
             target.append(_trusted(CyclicWord, reduced[lo:hi], z))
             stats_raw.append(len(raw))
             stats_cancel.append((len(raw) - (hi - lo)) // 2)
-            psi_min = min(_heights(raw, step))
+            psi_min = _raw_min_height(relators[i].letters, image_heights)
             if psi_min != phi_min[i] - big_n * (big_n + 1) // 2:
                 ok_profile = False
         if not ok_profile:

@@ -14,13 +14,15 @@ comparison is done in integers.
 
 The search sorts the cyclic rotations of the oriented relator texts
 themselves (no doubled copies, no separators) by numpy prefix doubling
-(Manber-Myers 1993): one sort of packed codes that each hold a rotation's
-first 2^k letters, then at each level a re-sort of the rotations still tied
-only (Larsson-Sadakane 2007), ties ending in rotation-index order on every
-CPU.  One vectorized pass over the sorted rotations yields every pair
-maximum, so the verdict and the longest-piece report come from a single
-scan and relator tuples with hundreds of thousands of letters stay
-tractable; the quadratic window scan and the
+(Manber-Myers 1993): one sort of 64-bit packed codes that each hold a
+rotation's first 2^k letters, then at each level a re-sort of the rotations
+still tied only (Larsson-Sadakane 2007), the ties left at the end put in
+rotation-index order once, on every CPU.  Neighbour LCPs are descended only
+at irreducible positions and inherited everywhere else
+(Karkkainen-Manzini-Puglisi 2009).  One vectorized pass over the sorted
+rotations yields every pair maximum, so the verdict and the longest-piece
+report come from a single scan and relator tuples with hundreds of
+thousands of letters stay tractable; the quadratic window scan and the
 unpacked doubling scan are kept as test oracles.
 """
 
@@ -70,13 +72,14 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     shifts (rank level j orders the first 2^j letters), stopping once the
     ranks are distinct or the sorted prefix covers the longest text, which
     bounds every piece.  The fine levels are packed: with b bits per dense
-    letter rank, the first 2^k letters of a rotation fit in one int64 code
-    (largest k with b * 2^k <= 62 and 2^(k-1) below the longest text), and
+    letter rank, the first 2^k letters of a rotation fit in one uint64 code
+    (largest k with b * 2^k <= 64 and 2^(k-1) below the longest text), and
     one sort of those codes gives level k directly; levels below k are never
-    built, and each later level re-sorts the rotations still tied only.  The
-    LCP of sorted neighbours comes from stepping down the kept levels to k
-    (neighbours with equal codes only) and reading the last (fewer than 2^k)
-    letters off the XOR of the two packed codes.  A pair of texts shares a
+    built, and each later level re-sorts the rotations still tied only.  A
+    sorted neighbour pair with different codes reads its LCP off the XOR of
+    the two codes; of the pairs with equal codes, only the irreducible ones
+    step down the kept levels, and the others inherit their LCP from the
+    rotation one letter back (`_equal_code_lcps`).  A pair of texts shares a
     piece of length k exactly when some occurrence of one follows an
     occurrence of the other with no neighbour LCP below k in between, so
     one running minimum per text that restarts at each of its occurrences
@@ -92,7 +95,9 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     them is 0: a running minimum never carries a piece across tuples, and a
     tuple's table is the same alone or in any batch.  One scan per local
     text index i serves every tuple at once, capped by the length of text i
-    of each rotation's own tuple."""
+    of each rotation's own tuple.  An empty batch has no tables."""
+    if not tuples:
+        return []
     n = 2 * sum(len(r) for relators in tuples for r in relators)
     if n >= 1 << 31:
         raise ValueError(f"{n} letters: the piece scan takes fewer than 2^31")
@@ -114,18 +119,18 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     span = 2 * int(np.abs(codes).max()) + 1
     codes += (group * span + span // 2)[text]
     present = np.cumsum(np.bincount(codes) > 0)
-    packed = (present - 1)[codes]  # dense (tuple, letter) ranks
+    packed = (present - 1).astype(np.uint64)[codes]  # dense (tuple, letter) ranks
     # every text comes with its inverse, so there are >= 2 ranks and b >= 1
     b = (int(present[-1]) - 1).bit_length()
-    jump = np.arange(1, n + 1, dtype=np.int32)
-    jump[first + size - 1] = first  # the next letter, cyclically
-    k = 0  # packed holds the first 2^k letters, first letter highest
-    while b << (k + 1) <= 62 and 1 << k < top:
+    step = np.arange(1, n + 1, dtype=np.int32)
+    step[first + size - 1] = first  # the next letter, cyclically
+    jump, k = step, 0  # packed holds the first 2^k letters, first letter highest
+    while b << (k + 1) <= 64 and 1 << k < top:
         packed = (packed << (b << k)) | packed[jump]
         jump = jump[jump]
         k += 1
 
-    order, gap = _sorted_rotations(packed, jump, b, k, top)
+    order, gap = _sorted_rotations(packed, step, jump, b, k, top)
     owner = text[order]
     offs = order - first[owner]
     at = np.empty(n, dtype=np.int64)
@@ -157,56 +162,98 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     return [{k: (-cand[0], cand[2]) for k, cand in table.items()} for table in found]
 
 
-def _sorted_rotations(packed, jump, b: int, k: int, top: int):
+def _sorted_rotations(packed, step, jump, b: int, k: int, top: int):
     """The sorted rotations and gap[s], the LCP of sorted s - 1 and s capped at `top`.
 
     Ranks are group heads: the first sorted slot sharing the prefix.  Each doubling level
-    stably re-sorts the groups of two or more only, by (head, rank 2^(k+j) letters on);
-    singletons keep slot and rank.  The one full sort orders ties as the CPU does, so its
-    groups are first put in rotation-index order: the order ends as (final key, index)."""
+    re-sorts the groups of two or more only, by (head, rank 2^(k+j) letters on), carrying
+    the live slots' own heads into the key; singletons keep slot and rank.  A head does not
+    depend on the order inside its group, so the rotations still tied after the last level
+    are put in rotation-index order once, at the end: the order is (final key, index) on
+    every CPU, whatever order the sorts leave ties in.
+
+    A neighbour pair with different codes reads its LCP off their XOR; the pairs with
+    equal codes go through `_equal_code_lcps`."""
     n = len(packed)
     order = np.argsort(packed)
-    head, tied = _groups(np.arange(n), packed[order])
+    codes = packed[order]
+    head, tied = _groups(np.arange(n), codes)
+    # letters each sorted neighbour pair shares within its codes, 2^k where the codes are
+    # equal; a tie only reorders equal codes, so this holds for the final order too
+    shared = _shared_letters(codes[1:] ^ codes[:-1], b, k)
+    del codes  # one byte a pair through the level loop, not eight
     rank = np.empty(n, dtype=np.int32)
     rank[order] = head
-    live = np.flatnonzero(tied)  # slots of unresolved rotations
-    x = order[live]
-    order[live] = x[np.argsort(head[live] * n + x)]  # index order within groups
+    live, heads = np.flatnonzero(tied), head[tied]  # slots of unresolved rotations
     levels, jumps = [rank], [jump]  # level k+j: rank of 2^(k+j) letters, jump as far
     while 1 << (k + len(levels) - 1) < top and len(live):
         x = order[live]
-        key = rank[x].astype(np.int64) * n + rank[jumps[-1][x]]
-        by = np.argsort(key, kind="stable")
+        key = heads * n + rank[jumps[-1][x]]
+        by = np.argsort(key, kind="stable")  # keys are runs of ascending heads
         order[live] = x = x[by]
         head, tied = _groups(live, key[by])
         rank = rank.copy()
         rank[x] = head
-        live = live[tied]
+        live, heads = live[tied], head[tied]
         levels.append(rank)
         jumps.append(jumps[-1][jumps[-1]])
-    pa, pb = order[:-1].copy(), order[1:].copy()
-    lcp = np.zeros(n - 1, dtype=np.int64)
-    cand = np.flatnonzero(levels[0][pa] == levels[0][pb])  # equal level-k codes
-    ca, cb, deep = pa[cand], pb[cand], lcp[cand]
-    for j in range(len(levels) - 1, -1, -1):
-        same = np.flatnonzero(levels[j][ca] == levels[j][cb])
-        deep[same] += 1 << (k + j)
-        ca[same] = jumps[j][ca[same]]
-        cb[same] = jumps[j][cb[same]]
-    pa[cand], pb[cand], lcp[cand] = ca, cb, deep
-    diff = packed[pa] ^ packed[pb]  # the first differing bit ends the LCP
-    for s in (1, 2, 4, 8, 16, 32):
-        diff |= diff >> s
-    bits = np.bitwise_count(diff).astype(np.int64)  # bit length of the XOR
-    lcp += np.minimum(((b << k) - bits) // b, (1 << k) - 1)
+    x = order[live]
+    order[live] = x[np.argsort(heads * n + x)]  # ties in index order
+
+    lcp = shared.astype(np.int64)
+    same = np.flatnonzero(shared == 1 << k)  # sorted neighbours s, s + 1 with equal codes
+    if len(same):
+        lcp[same] = _equal_code_lcps(order[same], order[same + 1], packed, step, levels, jumps, b, k)
     return order, np.minimum(np.concatenate(([0], lcp)), top)
+
+
+def _equal_code_lcps(lo, hi, packed, step, levels, jumps, b: int, k: int):
+    """The LCP of each sorted neighbour pair (lo, hi) with equal level-k codes.
+
+    Most of them inherit: if rotation hi - 1 of the same text and its sorted predecessor
+    p are such a pair too, and lo is the rotation after p, then lcp = lcp(hi - 1) - 1
+    (Karkkainen-Manzini-Puglisi 2009).  The others, text starts among them, are
+    irreducible: they step down the kept levels while the ranks agree and read the last
+    (fewer than 2^k) letters off the XOR of the codes there.  An inherited LCP is then the
+    nearest irreducible one before it in its text, less the distance.  A descent reads up
+    to 2^(k+L) letters over L kept levels, at least twice the longest text whenever pairs
+    still tie at the last level, so an inherited LCP is exact once capped at it."""
+    pred = np.full(len(packed), -1, dtype=np.int32)
+    pred[hi] = lo
+    # hi - 1 steps to hi unless hi starts its text (hi = 0 reads the last rotation,
+    # which steps to the start of the last text, never to 0)
+    p = pred[hi - 1]
+    inherit = (step[hi - 1] == hi) & (p >= 0) & (step[p] == lo)
+    root = np.flatnonzero(~inherit)
+    ca, cb, deep = lo[root], hi[root], np.zeros(len(root), dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        eq = np.flatnonzero(levels[j][ca] == levels[j][cb])
+        deep[eq] += 1 << (k + j)
+        ca[eq] = jumps[j][ca[eq]]
+        cb[eq] = jumps[j][cb[eq]]
+    lcp = np.empty(len(lo), dtype=np.int64)
+    lcp[root] = deep + _shared_letters(packed[ca] ^ packed[cb], b, k)
+    kid, start = np.flatnonzero(inherit), hi[root]
+    by = np.argsort(start)
+    src = root[by[np.searchsorted(start[by], hi[kid]) - 1]]  # its chain's irreducible pair
+    lcp[kid] = lcp[src] - (hi[kid] - hi[src])
+    return lcp
+
+
+def _shared_letters(diff, b: int, k: int):
+    """How many of their 2^k leading letters two packed codes share, from their XOR
+    `diff`: the whole letters above its highest set bit (all 2^k when it is 0)."""
+    diff = diff | (diff >> 1)
+    for s in (2, 4, 8, 16, 32):
+        diff |= diff >> s
+    return ((b << k) - np.bitwise_count(diff)) // b  # bitwise_count: the XOR's bit length
 
 
 def _groups(slots, sorted_key):
     """Each entry's head (the slot starting its run of equal keys) and whether it is tied."""
     start = np.ones(len(slots) + 1, dtype=bool)
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=start[1:-1])
-    return np.maximum.accumulate(np.where(start[:-1], slots, 0)), ~(start[:-1] & start[1:])
+    return np.maximum.accumulate(slots * start[:-1]), ~(start[:-1] & start[1:])
 
 
 def _report(relators: Sequence[CyclicWord], table, keys) -> PieceReport:

@@ -14,7 +14,13 @@ from relators import embed
 
 from relators.abelian import Slope, enumerate_kernel_slopes, enumerate_valid_slopes
 from relators.embed import build_w_words, embed_presentation
-from relators.mincond import check_minimum_condition, height_profile, standard_witness
+from relators.mincond import (
+    _height_steps,
+    _heights,
+    check_minimum_condition,
+    height_profile,
+    standard_witness,
+)
 from relators.smallcanc import check_small_cancellation, longest_piece
 from relators.words import (
     CyclicWord,
@@ -231,6 +237,31 @@ def test_block_height_skip_only_rejects_failing_heights(case):
         if any(embed._visible_piece(w, big_n, y) for w, y in zip(words, y_lens)):
             cyclic = tuple(CyclicWord(w.letters, m + 1) for w in words)
             assert not check_small_cancellation(cyclic, Fraction(1, 12))[0], big_n
+
+
+@st.composite
+def raw_image_cases(draw):
+    """(m, w-words, source relator): 2 <= m <= n-2 with n <= 5, a standard
+    form phi with every |entry| at most 4, block height N up to 8, and a
+    cyclically reduced relator over x_1..x_n of 1-60 letters."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(m + 2, 5))
+    values = draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1))
+    phi = Slope(values + [draw(st.integers(-4, -1))])
+    big_n = draw(st.integers(max(2, max(abs(v) for v in phi.values) + 1), 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return m, build_w_words(n, m, phi, big_n), sample_cyclically_reduced(n, draw(st.integers(1, 60)), rng)
+
+
+@given(raw_image_cases())
+@settings(max_examples=60, deadline=None)
+def test_raw_min_height_matches_the_streamed_heights(case):
+    # the least psi height of the raw image, from one summary per image, is
+    # the minimum over every prefix height of the raw image itself
+    m, words, r = case
+    step = _height_steps(embed._target_slope(m))
+    raw = Substitution(words).raw_image(r)
+    assert embed._raw_min_height(r.letters, embed._image_heights(words, step)) == min(_heights(raw, step))
 
 
 def test_block_height_skip_rejects_only_small_heights():

@@ -6,15 +6,20 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relators import smallcanc
+from relators.abelian import enumerate_kernel_slopes
+from relators.embed import embed_presentation
+from relators.mincond import check_minimum_condition
 from relators.smallcanc import PieceReport, check_small_cancellation, longest_piece
 from relators.words import (
     CyclicWord,
+    Presentation,
     enumerate_cyclically_reduced,
     parse_cyclic_word,
     sample_cyclically_reduced,
@@ -408,12 +413,11 @@ def test_verdicts_match_check_small_cancellation():
 
 
 
-def doubling_pair_maxima_batch(tuples):
-    """Oracle: the plain prefix-doubling scan, one argsort per level from
-    the single letters up, every level and jump kept in int64, and the LCP
-    descent stepping down every level to level 0.  The sorts are stable,
-    so tied rotations stay in rotation-index order.  The packed scan must
-    return the same tables, witness offsets included."""
+def doubling_layout(tuples):
+    """The oracle's text layout, the packed scan's too: each relator then its
+    inverse, tuple after tuple.  Returns per-text (tuple, local index) lists,
+    sizes and first rotations, each rotation's text, the longest text, the
+    dense (tuple, letter) rank of each letter and the next letter cyclically."""
     parts, group, local = [], [], []  # per text: its tuple, its index there
     for g, relators in enumerate(tuples):
         for r in relators:
@@ -426,15 +430,25 @@ def doubling_pair_maxima_batch(tuples):
     first = np.cumsum(size) - size
     n = int(size.sum())
     text = np.repeat(np.arange(len(parts)), size)
-    top = max(lengths)
     group = np.asarray(group)
-
     codes = np.concatenate(parts)
     span = 2 * int(np.abs(codes).max()) + 1
     codes += np.repeat(group * span + span // 2, size)
     rank = (np.cumsum(np.bincount(codes) > 0) - 1)[codes]  # dense (tuple, letter) ranks
     step = np.arange(1, n + 1)
     step[first + size - 1] = first  # the next letter, cyclically
+    return group, local, size, first, text, max(lengths), rank, step
+
+
+def doubling_sorted_rotations(tuples):
+    """Oracle: the plain prefix-doubling sort, one argsort per level from
+    the single letters up, every level and jump kept in int64, and the LCP
+    of every sorted neighbour pair stepping down every level to level 0.
+    The sorts are stable, so tied rotations stay in rotation-index order.
+    Returns the sorted rotations and gap[s], the LCP of sorted s - 1 and s
+    capped at the longest text."""
+    *_, top, rank, step = doubling_layout(tuples)
+    n = len(rank)
     levels, jumps = [rank], [step]  # level j: rank of 2^j letters, jump 2^j letters
     order = np.argsort(rank, kind="stable")
     while 1 << (len(levels) - 1) < top and rank[order[-1]] < n - 1:
@@ -454,8 +468,16 @@ def doubling_pair_maxima_batch(tuples):
         lcp[same] += 1 << j
         pa[same] = jumps[j][pa[same]]
         pb[same] = jumps[j][pb[same]]
-    gap = np.minimum(np.concatenate(([0], lcp)), top)  # gap[s]: LCP of sorted s-1, s
+    return order, np.minimum(np.concatenate(([0], lcp)), top)
 
+
+def doubling_pair_maxima_batch(tuples):
+    """Oracle: the pair tables from `doubling_sorted_rotations`, with a
+    tuple-indexed table of text lengths for the caps.  The packed scan must
+    return the same tables, witness offsets included."""
+    group, local, size, first, text, top, _, _ = doubling_layout(tuples)
+    order, gap = doubling_sorted_rotations(tuples)
+    n = len(order)
     owner = text[order]
     offs = order - first[owner]
     at = np.empty(n, dtype=np.int64)
@@ -536,6 +558,15 @@ def test_packed_scan_matches_doubling_oracle(batch):
         [(CyclicWord((1, 2, 1, -2) * 9, 2), CyclicWord((2, 1, -2, 1) * 9, 2))],
         [(CyclicWord((1, 2) * 40, 2),), (CyclicWord((2, 1) * 40, 2),)] * 8,
         [(CyclicWord((130, -1, 7) * 20, 130), CyclicWord((-7, 1, -130) * 20, 130))],
+        # one generator and its inverse: b = 1 bit a letter, 64 letters a code (k = 6)
+        [(CyclicWord((1,) * 100, 2),)],
+        [(CyclicWord((1,) * 100, 2), CyclicWord((-1,) * 70, 2))],
+        # b = 2 on texts over 32 letters: 32 letters a code (k = 5)
+        [(CyclicWord((1, 2, -1, 2) * 12, 2), CyclicWord((2, 1, 2, -1) * 9 + (2, 2), 2))],
+        # X2^16 x1 sorts right after the last rotation of X2^17, which
+        # itself follows the rotation one letter before it: the LCP chain
+        # along X2^17 must stop at the start of the next text
+        [(CyclicWord((2,) * 17, 2), CyclicWord((-2,) * 16 + (1,), 2)), (CyclicWord((-2,), 2),)],
     ],
 )
 def test_packed_scan_matches_doubling_oracle_on_powers(batch):
@@ -557,8 +588,8 @@ def walk(rng, rank, length, after=0, before=0):
 def planted_batches(draw):
     """A tuple of two words sharing a planted block of 40-300 letters (the
     second copy inverted or not), at random rotations, over rank 2, 5 or
-    130 (packed levels k = 4, 3 and 2), with a proper power or a duplicate
-    beside them; batched alone or twice."""
+    130, with a proper power or a duplicate beside them; batched alone or
+    twice (packed levels k = 5, 4 and 3 alone, one less twice)."""
     rank = draw(st.sampled_from([2, 5, 130]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     block = walk(rng, rank, draw(st.integers(40, 300)))
@@ -583,6 +614,62 @@ def test_packed_scan_matches_doubling_oracle_on_planted_blocks(batch):
     tables = smallcanc._pair_maxima_batch(batch)
     assert tables == doubling_pair_maxima_batch(batch)
     assert max(length for length, _ in tables[0].values()) >= 40
+
+
+@given(st.one_of(scanner_batches(), planted_batches()))
+@settings(max_examples=60, deadline=None)
+def test_sorted_rotations_match_doubling_oracle(batch):
+    # the order and every neighbour LCP, not only the tables they give: a
+    # wrong gap can hide under a pair maximum
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    real = smallcanc._sorted_rotations
+    with mock.patch.object(smallcanc, "_sorted_rotations", spy):
+        smallcanc._pair_maxima_batch(batch)
+    ((order, gap),) = seen
+    expected_order, expected_gap = doubling_sorted_rotations(batch)
+    assert order.tolist() == expected_order.tolist()
+    assert gap.tolist() == expected_gap.tolist()
+
+
+def embedding_target():
+    """The C'(1/6) target of a seeded guaranteed embedding of an l = 100
+    relator over F_3 (n = 3, m = 1), as the bench's embed workload draws it."""
+    rng = random.Random(1)
+    while True:
+        r = sample_cyclically_reduced(3, 100, rng)
+        p = Presentation(3, (r,))
+        if not check_small_cancellation((r,), Fraction(1, 7))[0]:
+            continue
+        slopes = enumerate_kernel_slopes(p, 8, primitive_only=True)
+        phi = next((s for s in slopes if check_minimum_condition((r,), s)), None)
+        if phi is not None:
+            return embed_presentation(p, phi, Fraction(1), guarantee_c16=True)[1].target
+
+
+def test_embedding_target_matches_doubling_oracle():
+    # tens of thousands of letters made of repeated w-word copies: almost
+    # every neighbour LCP is inherited along a chain, not descended
+    target = embedding_target()
+    assert smallcanc._pair_maxima_batch((target,)) == doubling_pair_maxima_batch((target,))
+    order, gap = doubling_sorted_rotations((target,))
+    step = doubling_layout((target,))[-1]
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    pred, lcp = order[at - 1], gap[at]  # per rotation: its sorted predecessor, their LCP
+    # rotations x whose x - 1 is in the same text, both with a predecessor
+    x = np.flatnonzero((step[:-1] == np.arange(1, len(order))) & (at[1:] > 0) & (at[:-1] > 0)) + 1
+    inherited = (lcp[x] == lcp[x - 1] - 1) & (pred[x] == step[pred[x - 1]]) & (lcp[x - 1] > 0)
+    assert len(order) > 90_000 and inherited.mean() > 0.95
+
+
+def test_empty_batch_has_no_tables():
+    assert smallcanc._pair_maxima_batch([]) == []
+    assert smallcanc._verdicts([], Fraction(1, 6)) == []
 
 
 def test_packed_scan_refuses_2_to_the_31_letters():
