@@ -44,15 +44,7 @@ from .mincond import (
     standard_witness,
 )
 from .smallcanc import PieceReport, _exact, check_small_cancellation, longest_piece
-from .words import (
-    CyclicWord,
-    Presentation,
-    Substitution,
-    Word,
-    _cyclic_core,
-    _trusted,
-    reduce_letters,
-)
+from .words import CyclicWord, Presentation, Substitution, Word, cyclic_reduce, substitute
 
 
 class BlockHeightExceeded(RuntimeError):
@@ -250,58 +242,45 @@ def embed_presentation(
         words = build_w_words(n, m, std_phi, big_n)
         if any(_visible_piece(w, big_n, y) for w, y in zip(words, y_lens)):
             continue  # a checked piece rejects N; only the scan below accepts one
-        w_cyclic = tuple(CyclicWord(w.letters, z) for w in words)
+        # build_w_words checked that each w_i is cyclically reduced
+        w_cyclic = tuple(cyclic_reduce(w)[0] for w in words)
         w_ok, w_rep = check_small_cancellation(w_cyclic, Fraction(1, 12))
         if not w_ok:
             continue
-
-        sub = Substitution(words)
-        raws = [sub.raw_image(r) for r in relators]
+        # psi_min(i) = phi_min(i) - N(N+1)/2, measured on the raw image loops
         image_heights = _image_heights(words, step)
-        target = []
-        stats_raw = []
-        stats_cancel = []
-        ok_profile = True
-        for i, raw in enumerate(raws):
-            reduced = reduce_letters(raw)
-            lo, hi = _cyclic_core(reduced)
-            target.append(_trusted(CyclicWord, reduced[lo:hi], z))
-            stats_raw.append(len(raw))
-            stats_cancel.append((len(raw) - (hi - lo)) // 2)
-            psi_min = _raw_min_height(relators[i].letters, image_heights)
-            if psi_min != phi_min[i] - big_n * (big_n + 1) // 2:
-                ok_profile = False
-        if not ok_profile:
+        psi_min = tuple(_raw_min_height(r.letters, image_heights) for r in relators)
+        if any(lo != f - big_n * (big_n + 1) // 2 for lo, f in zip(psi_min, phi_min)):
             continue
 
-        s_witness = standard_witness(tuple(target), psi)
+        sub = Substitution(words)
+        target = tuple(cyclic_reduce(substitute(sub, r))[0] for r in relators)
+        s_witness = standard_witness(target, psi)
         if isinstance(s_witness, MinConditionFailure):
             continue
 
         s_ok: Optional[bool] = None
         if guarantee_c16:
-            s_ok, s_rep = check_small_cancellation(tuple(target), Fraction(1, 6))
+            s_ok, piece_rep = check_small_cancellation(target, Fraction(1, 6))
             if not s_ok:
                 continue
-            piece_rep = s_rep
         else:
-            piece_rep = longest_piece(tuple(target))
+            piece_rep = longest_piece(target)
 
         # length accounting: delta is the max relative deviation of |w_i|
         nsq = big_n * big_n
         delta = max(Fraction(abs(len(w) - nsq), nsq) for w in words)
+        raw_lengths = tuple(sum(len(words[abs(a) - 1]) for a in r.letters) for r in relators)
         stats = LengthStats(
             lengths=tuple(len(s) for s in target),
-            raw_lengths=tuple(stats_raw),
-            cancelled_pairs=tuple(stats_cancel),
+            raw_lengths=raw_lengths,
+            cancelled_pairs=tuple((raw - len(s)) // 2 for raw, s in zip(raw_lengths, target)),
             delta=delta,
             band_low=nsq * min(len(r) for r in relators) * (1 - 3 * delta),
             band_high=nsq * max(len(r) for r in relators) * (1 + 2 * delta),
         )
         for i, s in enumerate(target):
             l_i = len(relators[i])
-            if stats.lengths[i] < l_i * min(len(w) for w in words) - 2 * stats_cancel[i]:
-                raise AssertionError(f"s_{i + 1} is shorter than its cancellation allows")
             if not nsq * l_i * (1 - 3 * delta) <= len(s) <= nsq * l_i * (1 + 2 * delta):
                 raise AssertionError(f"|s_{i + 1}| = {len(s)} is outside its length band")
             if s.exponent_sum(z):
@@ -316,15 +295,13 @@ def embed_presentation(
             target_slope=psi,
         )
         report = EmbeddingReport(
-            target=tuple(target),
+            target=target,
             word_piece_report=w_rep,
             word_small_cancellation_ok=w_ok,
             piece_report=piece_rep,
             small_cancellation_ok=s_ok,
             witness=s_witness,
-            psi_min=tuple(
-                phi_min[i] - big_n * (big_n + 1) // 2 for i in range(m)
-            ),
+            psi_min=psi_min,
             phi_min=phi_min,
             length_stats=stats,
             relabeling=relab,

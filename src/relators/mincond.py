@@ -35,7 +35,7 @@ from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .abelian import Slope, slope_basis
-from .words import CyclicWord, Presentation
+from .words import CyclicWord, Presentation, shared_rank
 
 
 @dataclass(frozen=True)
@@ -202,11 +202,7 @@ def _validated_shapes(relators: Sequence[CyclicWord], phi: Slope):
     """Shared input validation plus per-relator section classification.
     Returns the shape list, or a MinConditionFailure for the first bad
     relator."""
-    if not relators:
-        raise ValueError("need at least one relator")
-    n = relators[0].rank
-    if any(r.rank != n for r in relators):
-        raise ValueError("relators must share a rank")
+    n = shared_rank(relators)
     if len(phi) != n:
         raise ValueError("slope rank mismatch")
     if len(relators) >= n:
@@ -402,7 +398,16 @@ def tau_deficiency_one(
 
 def _tau_insert(relators: tuple[CyclicWord, ...], phi: Slope) -> tuple[CyclicWord, ...]:
     """The insertion of `tau_deficiency_one` for a checked (n-1)-tuple of
-    rank n whose kernel slope, from `slope_basis`, is `phi`."""
+    rank n whose kernel slope, from `slope_basis`, is `phi`.
+
+    eps is -sign phi(x_i'), and on a flat x_i' it is +1 unless the letter
+    leaving v is x_i', where it is -1.  The insertion x_j x_i'^eps X_j
+    x_i'^-eps at the minimal vertex v is then cyclically reduced:
+      * phi(x_j) < 0, so the letter entering v, whose phi is <= 0, is
+        never X_j;
+      * the letter leaving v has phi >= 0, so for phi(x_i') != 0 it is
+        never x_i'^eps, whose phi is negative, and on a flat x_i' the
+        rule picks the eps it is not."""
     n = len(relators) + 1
     j = next(g for g in range(1, n + 1) if phi.of_generator(g) != 0)
 
@@ -412,17 +417,7 @@ def _tau_insert(relators: tuple[CyclicWord, ...], phi: Slope) -> tuple[CyclicWor
         ip = i if i < j else i + 1
         v = h.index(min(h))
         val = phi.of_generator(ip)
-        if val > 0:
-            eps = -1
-        elif val < 0:
-            eps = 1
-        else:
-            # flat tie: prefer +1, flip only if it breaks cyclic reduction
-            try:
-                out.append(_insert(r, v, (j, ip, -j, -ip)))
-                continue
-            except ValueError:
-                eps = -1
+        eps = -1 if val > 0 or (val == 0 and r.letters[v] == ip) else 1
         out.append(_insert(r, v, (j, eps * ip, -j, -eps * ip)))
     return tuple(out)
 
@@ -435,7 +430,7 @@ def tau_inverse(
     minimal vertex or flat edge, which pins down the four letters to remove;
     the candidate is then confirmed by re-applying the insertion.  Removing
     a commutator keeps the exponent sums, so phi is the candidate's kernel
-    slope too."""
+    slope too, and re-inserting cannot fail (see `_tau_insert`)."""
     relators = tuple(relators)
     n = rank
     if len(relators) != n - 1 or any(r.rank != n for r in relators):
@@ -464,11 +459,7 @@ def tau_inverse(
         except ValueError:
             return None
     candidate = tuple(recovered)
-    try:
-        again = _tau_insert(candidate, phi)
-    except ValueError:
-        return None
-    return candidate if again == relators else None
+    return candidate if _tau_insert(candidate, phi) == relators else None
 
 
 def tau_slope(relators: Sequence[CyclicWord], phi: Slope) -> tuple[CyclicWord, ...]:
@@ -482,10 +473,8 @@ def tau_slope(relators: Sequence[CyclicWord], phi: Slope) -> tuple[CyclicWord, .
     CyclicWord('x1 x2 X1 x2 X1 X2 x1 X2', rank=2)
     """
     relators = tuple(relators)
-    if not relators:
-        raise ValueError("need at least one relator")
-    n = relators[0].rank
-    if len(phi) != n or any(r.rank != n for r in relators):
+    n = shared_rank(relators)
+    if len(phi) != n:
         raise ValueError("rank mismatch")
     if len(relators) >= n:
         raise ValueError("need fewer relators than generators")

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .words import CyclicWord, Word
+from .words import CyclicWord, Word, shared_rank
 
 
 @dataclass(frozen=True)
@@ -258,23 +258,20 @@ def _groups(slots, sorted_key):
 
 def _report(relators: Sequence[CyclicWord], table, keys) -> PieceReport:
     """The longest piece of a `_pair_maxima_batch` table among `keys`
-    (sorted text pairs), first key on ties, with its witnessing occurrences."""
+    (sorted text pairs), first key on ties, with its witnessing occurrences.
+    The letters at offset o of an inverted text r^-1 are the inverse of
+    those of r ending just before offset |r| - o."""
     if not keys:
         return PieceReport(0, None, None, None)
     key = max(keys, key=lambda k: table[k][0])
     length, offs = table[key]
     r = relators[key[0] // 2]
-    sub = (r.inverse() if key[0] % 2 else r).cyclic_subword(offs[0], length)
+    if key[0] % 2:
+        sub = r.cyclic_subword(-(offs[0] + length) % len(r), length).inverse()
+    else:
+        sub = r.cyclic_subword(offs[0], length)
     a, b = (PieceLocation(t // 2, bool(t % 2), o) for t, o in zip(key, offs))
     return PieceReport(length, sub, a, b)
-
-
-def _validate(relators: Sequence[CyclicWord]) -> None:
-    if len(relators) == 0:
-        raise ValueError("need at least one relator")
-    rank = relators[0].rank
-    if any(r.rank != rank for r in relators):
-        raise ValueError("relators must share a rank")
 
 
 def _exact(value, name: str) -> Fraction:
@@ -302,7 +299,7 @@ def longest_piece(relators: Sequence[CyclicWord]) -> PieceReport:
     >>> longest_piece((pc("x1 x2"), pc("x2 x1"))).longest_piece_length
     2
     """
-    _validate(relators)
+    shared_rank(relators)
     (table,) = _pair_maxima_batch((relators,))
     return _report(relators, table, sorted(table))
 
@@ -321,7 +318,7 @@ def check_small_cancellation(
     True
     """
     lam = _lambda(lam)
-    _validate(relators)
+    shared_rank(relators)
     (table,) = _pair_maxima_batch((relators,))
     violating = _violating(relators, table, lam)
     return not violating, _report(relators, table, violating or sorted(table))

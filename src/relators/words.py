@@ -255,6 +255,17 @@ class Presentation:
         return f"Presentation(rank={self.rank}, relators=[{rels}])"
 
 
+def shared_rank(relators: Sequence[CyclicWord]) -> int:
+    """The rank of a nonempty relator tuple; raises unless every relator
+    has it."""
+    if len(relators) == 0:
+        raise ValueError("need at least one relator")
+    rank = relators[0].rank
+    if any(r.rank != rank for r in relators):
+        raise ValueError("relators must share a rank")
+    return rank
+
+
 def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a raw letter sequence.
 
@@ -292,25 +303,18 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     ((2,), (1,))
     """
     lts = w.letters
-    lo, hi = _cyclic_core(lts)
-    return _trusted(CyclicWord, lts[lo:hi], w.rank), _trusted(Word, lts[:lo], w.rank)
-
-
-def _cyclic_core(letters: Sequence[int]) -> tuple[int, int]:
-    """The bounds of the cyclically reduced core letters[lo:hi] of a freely
-    reduced letter tuple: letters[:lo] is the conjugator, and letters[hi:]
-    its inverse.  Raises if the core is empty."""
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+    lo, hi = 0, len(lts)
+    while hi - lo >= 2 and lts[lo] == -lts[hi - 1]:
         lo += 1
         hi -= 1
     if lo == hi:
         raise ValueError("word cyclically reduces to the empty word")
-    return lo, hi
+    return _trusted(CyclicWord, lts[lo:hi], w.rank), _trusted(Word, lts[:lo], w.rank)
 
 
-def substitute(s: Substitution, w: Word) -> Word:
-    """Apply a substitution homomorphism and freely reduce the image."""
+def substitute(s: Substitution, w: Word | CyclicWord) -> Word:
+    """Apply a substitution homomorphism to a word, or to a cyclic word read
+    from its basepoint, and freely reduce the image."""
     return _trusted(Word, reduce_letters(s.raw_image(w)), s.target_rank)
 
 

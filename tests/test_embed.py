@@ -326,7 +326,7 @@ def test_checks_survive_python_dash_O():
         from fractions import Fraction
         from relators import embed, mincond
         from relators.abelian import Slope
-        from relators.words import Presentation, Word, parse_cyclic_word, reduce_letters
+        from relators.words import CyclicWord, Presentation, Word, parse_cyclic_word, substitute
 
         assert False, "this line is stripped under -O"
 
@@ -339,7 +339,7 @@ def test_checks_survive_python_dash_O():
         embed.Word = Word
 
         # a target read twice over leaves its length band
-        embed.reduce_letters = lambda raw: reduce_letters(raw) * 2
+        embed.substitute = lambda sub, r: substitute(sub, CyclicWord(r.letters * 2, r.rank))
         embed.standard_witness = lambda target, psi: mincond.MinConditionWitness(2, (1,), ("edge",), (1, 1))
         p = Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),))
         try:

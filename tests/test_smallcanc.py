@@ -257,6 +257,22 @@ def test_pair_maxima_tables_and_every_witness(relators):
     assert_witnesses_valid(relators, best, wit)
 
 
+@given(relator_tuples())
+@settings(max_examples=200, deadline=None)
+def test_inverted_witness_is_read_off_the_relator(relators):
+    """`_report` reads a piece of r^-1 from r itself; the old expression,
+    which built the whole r^-1 first, is the oracle."""
+    for r in relators:
+        l = len(r)
+        for o, k in itertools.product(range(l), range(1, l + 1)):
+            assert r.cyclic_subword(-(o + k) % l, k).inverse() == r.inverse().cyclic_subword(o, k)
+    (table,) = smallcanc._pair_maxima_batch((relators,))
+    for key, (length, offs) in table.items():
+        r = relators[key[0] // 2]
+        old = (r.inverse() if key[0] % 2 else r).cyclic_subword(offs[0], length)
+        assert smallcanc._report(relators, table, [key]).subword == old
+
+
 def test_success_report_comes_from_the_one_scan(monkeypatch):
     calls = []
     scan = smallcanc._pair_maxima_batch

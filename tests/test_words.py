@@ -28,6 +28,7 @@ from relators.words import (
     reduce,
     sample_cyclically_reduced,
     sample_reduced,
+    substitute,
 )
 
 
@@ -355,6 +356,28 @@ def round_trips(value):
 words_st = letters_st.map(lambda ls: reduce(ls, 3))
 cyclic_words_st = words_st.filter(len).map(lambda w: cyclic_reduce(w)[0])
 presentations_st = st.lists(cyclic_words_st, max_size=3).map(lambda rs: Presentation(3, rs))
+
+
+@given(st.lists(words_st, min_size=1, max_size=4), st.one_of(words_st, cyclic_words_st))
+def test_substitute_is_reduce_of_raw_image(images, w):
+    """The one substitution path: a Word or a CyclicWord (read from its
+    basepoint) goes to the free reduction of its raw image, images that
+    cancel completely included; a word over more generators than there
+    are images is refused."""
+    s = Substitution(images)
+    if w.rank > s.source_rank:
+        with pytest.raises(ValueError, match="substitution has"):
+            substitute(s, w)
+        return
+    assert substitute(s, w) == reduce(s.raw_image(w), s.target_rank)
+
+
+def test_substitute_cancels_to_the_identity():
+    u = Word((1, 2, -1), 2)
+    s = Substitution([u, u.inverse(), Word((), 2)])
+    assert substitute(s, CyclicWord((1, 2, 3), 3)) == Word((), 2)
+    assert substitute(s, Word((3, 2, 3, 1, 3), 3)) == Word((), 2)
+    assert substitute(s, CyclicWord((1, 3, 1), 3)) == Word((1, 2, 2, -1), 2)
 
 
 @given(st.one_of(words_st, cyclic_words_st, presentations_st))
