@@ -255,6 +255,9 @@ def embed_presentation(
 
         sub = Substitution(words)
         target = tuple(cyclic_reduce(substitute(sub, r))[0] for r in relators)
+        for i, s in enumerate(target):
+            if s.exponent_sum(z):
+                raise AssertionError(f"psi(s_{i + 1}) != 0")
         s_witness = standard_witness(target, psi)
         if isinstance(s_witness, MinConditionFailure):
             continue
@@ -283,8 +286,6 @@ def embed_presentation(
             l_i = len(relators[i])
             if not nsq * l_i * (1 - 3 * delta) <= len(s) <= nsq * l_i * (1 + 2 * delta):
                 raise AssertionError(f"|s_{i + 1}| = {len(s)} is outside its length band")
-            if s.exponent_sum(z):
-                raise AssertionError(f"psi(s_{i + 1}) != 0")
 
         plan = EmbeddingPlan(
             source=p,

@@ -35,7 +35,7 @@ from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .abelian import Slope, slope_basis
-from .words import CyclicWord, Presentation, shared_rank
+from .words import CyclicWord, Presentation, _trusted, shared_rank
 
 
 @dataclass(frozen=True)
@@ -454,12 +454,23 @@ def tau_inverse(
         quad = r.letters[start : start + 4]
         if quad[2] != -quad[0] or quad[3] != -quad[1] or abs(quad[0]) != j:
             return None
-        try:
-            recovered.append(CyclicWord(r.letters[:start] + r.letters[start + 4 :], n))
-        except ValueError:
+        rest = _cut(r, start)
+        if rest is None:
             return None
+        recovered.append(rest)
     candidate = tuple(recovered)
     return candidate if _tau_insert(candidate, phi) == relators else None
+
+
+def _cut(r: CyclicWord, start: int) -> Optional[CyclicWord]:
+    """r without its four letters from `start` (start + 4 <= |r| < start + |r|,
+    so at least one letter is left), or None when that is not cyclically reduced.
+    r is, so the only new neighbours are the two letters the cut brings
+    together, cyclically: one comparison decides."""
+    rest = r.letters[:start] + r.letters[start + 4 :]
+    if rest[start - 1] == -rest[start % len(rest)]:
+        return None
+    return _trusted(CyclicWord, rest, r.rank)
 
 
 def tau_slope(relators: Sequence[CyclicWord], phi: Slope) -> tuple[CyclicWord, ...]:

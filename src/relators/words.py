@@ -224,15 +224,19 @@ class Substitution:
     def raw_image(self, w: Word | CyclicWord) -> list[int]:
         """The letters of the images of w's letters, concatenated without
         free reduction."""
-        if w.rank > self.source_rank:
-            raise ValueError(
-                f"word over rank {w.rank} but substitution has {self.source_rank} images"
-            )
-        images = self._letter_images
+        images = self._images_of(w)
         out: list[int] = []
         for a in w.letters:
             out.extend(images[a])
         return out
+
+    def _images_of(self, w: Word | CyclicWord) -> dict[int, tuple[int, ...]]:
+        """The letter images, once w is known to be over the source rank."""
+        if w.rank > self.source_rank:
+            raise ValueError(
+                f"word over rank {w.rank} but substitution has {self.source_rank} images"
+            )
+        return self._letter_images
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,8 +318,21 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
 
 def substitute(s: Substitution, w: Word | CyclicWord) -> Word:
     """Apply a substitution homomorphism to a word, or to a cyclic word read
-    from its basepoint, and freely reduce the image."""
-    return _trusted(Word, reduce_letters(s.raw_image(w)), s.target_rank)
+    from its basepoint, and freely reduce the image.
+
+    Every image is reduced, so letters cancel only where the image of the next
+    letter meets the reduced image so far: each image is appended after
+    cancelling its head against that tail."""
+    images = s._images_of(w)
+    out: list[int] = []
+    for a in w.letters:
+        image = images[a]
+        j = 0
+        while out and j < len(image) and out[-1] == -image[j]:
+            out.pop()
+            j += 1
+        out.extend(image[j:] if j else image)
+    return _trusted(Word, tuple(out), s.target_rank)
 
 
 @cache

@@ -371,3 +371,14 @@ def test_checks_survive_python_dash_O():
     assert words == "w-words: psi(w_1) != phi(x_1)"
     assert target.startswith("target: |s_1| = ") and target.endswith(" is outside its length band")
     assert std == "standardize: standardized slope is not negative on x_n"
+
+
+def test_target_that_psi_does_not_annihilate_raises_the_invariant(monkeypatch):
+    """psi(s_i) = 0 is checked on the target before `standard_witness`, whose
+    height profile would otherwise refuse the target with a ValueError: a
+    substitution that leaves one extra z letter raises the AssertionError."""
+    z = Word((2,), 2)
+    monkeypatch.setattr(embed, "substitute", lambda sub, r: substitute(sub, r) * z)
+    p = Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),))
+    with pytest.raises(AssertionError, match=r"^psi\(s_1\) != 0$"):
+        embed_presentation(p, Slope((0, 2, -1)))

@@ -13,16 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relators import smallcanc
-from relators.abelian import enumerate_kernel_slopes
-from relators.embed import embed_presentation
+from relators.abelian import Slope, enumerate_kernel_slopes
+from relators.embed import build_w_words, embed_presentation
 from relators.mincond import check_minimum_condition
 from relators.smallcanc import PieceReport, check_small_cancellation, longest_piece
 from relators.words import (
     CyclicWord,
     Presentation,
+    Substitution,
+    cyclic_reduce,
     enumerate_cyclically_reduced,
     parse_cyclic_word,
     sample_cyclically_reduced,
+    substitute,
 )
 
 
@@ -583,10 +586,31 @@ def test_packed_scan_matches_doubling_oracle(batch):
         # itself follows the rotation one letter before it: the LCP chain
         # along X2^17 must stop at the start of the next text
         [(CyclicWord((2,) * 17, 2), CyclicWord((-2,) * 16 + (1,), 2)), (CyclicWord((-2,), 2),)],
+        # x1 x1 x2 x1 x1 x2 x1 ... and x1 x1 x2 x1 x1 x1 x2 ... share 5 letters, more than
+        # D = 4: the rule orders them by rotation index, not by their sixth letters
+        [(CyclicWord((1, 1, 2), 2), CyclicWord((1, 1, 2, 1), 2))],
     ],
 )
 def test_packed_scan_matches_doubling_oracle_on_powers(batch):
     assert smallcanc._pair_maxima_batch(batch) == doubling_pair_maxima_batch(batch)
+    assert_scan_order_matches_oracle(batch)
+
+
+def assert_scan_order_matches_oracle(batch):
+    """The scan's sorted rotations and every neighbour LCP are the doubling oracle's."""
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    real = smallcanc._sorted_rotations
+    with mock.patch.object(smallcanc, "_sorted_rotations", spy):
+        smallcanc._pair_maxima_batch(batch)
+    ((order, gap),) = seen
+    expected_order, expected_gap = doubling_sorted_rotations(batch)
+    assert order.tolist() == expected_order.tolist()
+    assert gap.tolist() == expected_gap.tolist()
 
 
 def walk(rng, rank, length, after=0, before=0):
@@ -650,6 +674,69 @@ def test_sorted_rotations_match_doubling_oracle(batch):
     expected_order, expected_gap = doubling_sorted_rotations(batch)
     assert order.tolist() == expected_order.tolist()
     assert gap.tolist() == expected_gap.tolist()
+
+
+@st.composite
+def run_words(draw, rank):
+    """A cyclically reduced word made of runs of 1-80 letters (over 64, longer than
+    one packed code at any letter width)."""
+    alphabet = [a for a in range(-rank, rank + 1) if a]
+    letters = []
+    for _ in range(draw(st.integers(1, 6))):
+        options = [a for a in alphabet if not letters or a not in (letters[-1], -letters[-1])]
+        letters += [draw(st.sampled_from(options))] * draw(st.sampled_from([1, 2, 3, 7, 31, 33, 65, 80]))
+    if letters[0] == -letters[-1]:
+        letters.append(next(a for a in alphabet if a not in (letters[0], -letters[0], -letters[-1])))
+    return CyclicWord(letters, rank)
+
+
+@st.composite
+def w_word_targets(draw):
+    """A cyclically reduced w-word of a block height N, or the image of a short
+    source word under all of them: z-runs of heights 1..N between y letters."""
+    big_n = draw(st.integers(2, 6))
+    words = build_w_words(3, 1, Slope((0, 1, -1)), big_n)
+    if draw(st.booleans()):
+        w = draw(st.sampled_from(words))
+    else:
+        w = substitute(Substitution(words), draw(cyclic_words(3, max_length=6)))
+    core = cyclic_reduce(w)[0]
+    return core if len(core) else CyclicWord((2,), 2)
+
+
+@st.composite
+def run_heavy_tuples(draw):
+    """1-4 relators made of runs: run words, w-word targets, one repeated letter at
+    several lengths (no run start, so every rotation stays tied), and rotations and
+    inverses of an earlier relator."""
+    rank = draw(st.sampled_from([1, 2, 3]))
+    if rank == 1 or draw(st.booleans()):
+        letter = draw(st.sampled_from([1, -1, 2, -2] if rank > 1 else [1, -1]))
+        lengths = draw(st.lists(st.sampled_from([1, 2, 3, 31, 32, 33, 64, 65, 100]), min_size=1, max_size=3))
+        relators = [CyclicWord((letter,) * l, max(rank, 2)) for l in lengths]
+        rank = max(rank, 2)
+    else:
+        relators = []
+    relators.append(draw(st.one_of(run_words(rank), w_word_targets() if rank == 2 else run_words(rank))))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["runs", "rotation", "inverse"]))
+        base = draw(st.sampled_from(relators))
+        if kind == "runs":
+            relators.append(draw(run_words(rank)))
+        elif kind == "rotation":
+            relators.append(base.rotation(draw(st.integers(0, len(base) - 1))))
+        else:
+            relators.append(base.inverse())
+    return tuple(draw(st.permutations(relators)))
+
+
+@given(st.sampled_from([1, 16]).flatmap(lambda count: st.lists(run_heavy_tuples(), min_size=count, max_size=count)))
+@settings(max_examples=40, deadline=None)
+def test_run_scan_matches_doubling_oracle_on_run_heavy_batches(batch):
+    # tied rotations are placed from their runs: the order, every neighbour LCP
+    # and every table must still be the plain doubling scan's
+    assert_scan_order_matches_oracle(batch)
+    assert smallcanc._pair_maxima_batch(batch) == doubling_pair_maxima_batch(batch)
 
 
 def embedding_target():

@@ -26,6 +26,7 @@ from relators.words import (
     parse_cyclic_word,
     parse_word,
     reduce,
+    reduce_letters,
     sample_cyclically_reduced,
     sample_reduced,
     substitute,
@@ -370,6 +371,42 @@ def test_substitute_is_reduce_of_raw_image(images, w):
             substitute(s, w)
         return
     assert substitute(s, w) == reduce(s.raw_image(w), s.target_rank)
+
+
+@st.composite
+def cancelling_substitutions(draw):
+    """A substitution whose images cancel where they meet (conjugates g^-1 u g of
+    one glue word g, g itself and its inverse), with identity images, and a word
+    over its source rank with inverse letters, read as a Word or a CyclicWord."""
+    glue = draw(words_st.filter(len))
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["conjugate", "glue", "inverse", "identity", "word"]))
+        if kind == "conjugate":
+            core = draw(words_st)
+            images.append(reduce(glue.inverse().letters + core.letters + glue.letters, 3))
+        elif kind == "glue":
+            images.append(glue)
+        elif kind == "inverse":
+            images.append(glue.inverse())
+        elif kind == "identity":
+            images.append(Word((), 3))
+        else:
+            images.append(draw(words_st))
+    rank = len(images)
+    letters = draw(st.lists(st.sampled_from([a for g in range(1, rank + 1) for a in (g, -g)]), max_size=12))
+    w = reduce(letters, rank)
+    if len(w) and draw(st.booleans()):
+        w = cyclic_reduce(w)[0]
+    return Substitution(images), w
+
+
+@given(cancelling_substitutions())
+def test_substitute_cancels_only_where_images_meet(case):
+    """Cancelling at image boundaries only is the free reduction of the raw
+    image, which stays the oracle."""
+    s, w = case
+    assert substitute(s, w).letters == reduce_letters(s.raw_image(w))
 
 
 def test_substitute_cancels_to_the_identity():
