@@ -176,6 +176,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes {successes} not in [0, {trials}]")
     z = _WILSON_Z
     phat = successes / trials
     denom = 1 + z * z / trials

@@ -4,9 +4,10 @@ Fix a slope phi with phi(r) = 0.  Walking the relator cycle from its
 basepoint gives integer vertex heights (partial sums of phi over letters);
 the *lower section* is everything at the minimum height: minimal vertices
 plus the flat edges joining two minimal vertices.  Every height in the
-package comes from one pass, `_profiles`, and every section shape (lone
-vertex, lone flat edge, or a failure) with its position from one
-classifier, `_section_shape`; the other modules call these and keep no copy.
+package comes from one pass, `_profiles`, which is also the one check that
+phi has each relator's rank, and every section shape (lone vertex, lone
+flat edge, or a failure) with its position from one classifier,
+`_section_shape`; the other modules call these and keep no copy.
 
 The minimum condition asks that each relator's lower section be either a
 single vertex whose two flanking edges carry one designated "column"
@@ -86,10 +87,13 @@ def _heights(letters: Sequence[int], step: dict[int, int]) -> Iterator[int]:
 
 def _profiles(relators: Sequence[CyclicWord], phi: Slope) -> tuple[tuple[int, ...], ...]:
     """The vertex heights of every relator along phi, one pass each; raises
-    ValueError for the first relator phi does not annihilate."""
+    ValueError for the first relator not of phi's rank or not annihilated."""
     step = _height_steps(phi)
+    rank = len(phi.values)
     out = []
     for idx, r in enumerate(relators):
+        if r.rank != rank:
+            raise ValueError("slope rank mismatch")
         heights = tuple(_heights(r.letters, step))
         if heights[-1]:  # the closing height is phi(r)
             raise ValueError(f"slope does not annihilate relator {idx}")
@@ -202,15 +206,11 @@ def _validated_shapes(relators: Sequence[CyclicWord], phi: Slope):
     """Shared input validation plus per-relator section classification.
     Returns the shape list, or a MinConditionFailure for the first bad
     relator."""
-    n = shared_rank(relators)
-    if len(phi) != n:
-        raise ValueError("slope rank mismatch")
-    if len(relators) >= n:
+    if len(relators) >= shared_rank(relators):
         raise ValueError("minimum condition needs fewer relators than generators")
-    # every relator's annihilation is checked before any shape is classified
-    profiles = _profiles(relators, phi)
     shapes: list[tuple[str, dict[int, int]]] = []
-    for idx, (r, heights) in enumerate(zip(relators, profiles)):
+    # every relator's rank and annihilation are checked before any shape is classified
+    for idx, (r, heights) in enumerate(zip(relators, _profiles(relators, phi))):
         tag, info, _ = _section_shape(r, heights)
         if tag is None:
             return MinConditionFailure(idx, *info)
@@ -219,14 +219,9 @@ def _validated_shapes(relators: Sequence[CyclicWord], phi: Slope):
 
 
 def _inversion_signs(phi: Slope, g: int) -> tuple[int, ...]:
-    signs = []
-    for gen in range(1, len(phi) + 1):
-        v = phi.of_generator(gen)
-        if gen == g:
-            signs.append(-1 if v > 0 else 1)
-        else:
-            signs.append(-1 if v < 0 else 1)
-    return tuple(signs)
+    """-1 on each generator standardization inverts: x_g if phi is positive
+    on it, any other generator if phi is negative on it; +1 elsewhere."""
+    return tuple(-1 if (v > 0 if k == g else v < 0) else 1 for k, v in enumerate(phi.values, 1))
 
 
 def check_minimum_condition(
@@ -326,7 +321,9 @@ def standardize(
     >>> t2[0].letters, phi2.values
     ((-2, 1, 2, -1), (0, -1))
     """
-    n = len(phi)
+    n = shared_rank(relators)
+    if len(phi) != n:
+        raise ValueError("slope rank mismatch")
     if phi.of_generator(witness.n_role) == 0:
         raise ValueError("witness n-role has slope value 0")
     used = set(witness.i_roles) | {witness.n_role}
@@ -388,8 +385,6 @@ def tau_deficiency_one(
     n = rank
     if len(relators) != n - 1:
         raise ValueError("expected exactly rank-1 relators")
-    if any(r.rank != n for r in relators):
-        raise ValueError("relator rank mismatch")
     basis = slope_basis(Presentation(n, relators))
     if len(basis) != 1:
         raise ValueError("first Betti number must be 1")
@@ -485,17 +480,14 @@ def tau_slope(relators: Sequence[CyclicWord], phi: Slope) -> tuple[CyclicWord, .
     """
     relators = tuple(relators)
     n = shared_rank(relators)
-    if len(phi) != n:
-        raise ValueError("rank mismatch")
     if len(relators) >= n:
         raise ValueError("need fewer relators than generators")
     if not phi.is_valid():
         raise ValueError("slope must be nonzero on every generator")
-    sn = 1 if phi.of_generator(n) > 0 else -1
     out = []
     for i0, (r, h) in enumerate(zip(relators, _profiles(relators, phi))):
         i = i0 + 1
-        si = 1 if phi.of_generator(i) > 0 else -1
+        sn, si = (1 if phi.of_generator(g) > 0 else -1 for g in (n, i))
         quad = (-sn * n, -si * i, sn * n, si * i)
         out.append(_insert(r, h.index(min(h)), quad))
     return tuple(out)

@@ -83,19 +83,20 @@ def _digit_tables(values: tuple[int, ...]) -> tuple[int, bytes, tuple[bytes, ...
     return off, low, tuple(high)
 
 
-def _degrees(words: Iterable[int], phi: Slope) -> list[int]:
-    """phi(w) of each packed word w, recomputed exactly from its bytes b as
-    sum_j 256^j * sum(b.translate(T_j)) - off*len(b) over `_digit_tables`;
-    every degree in this module comes from here.  Slope (1000, -7) raises
-    byte values up to 4000, so it takes two tables:
+def _degrees(words: Iterable[int], phi: Slope, rank: int) -> list[int]:
+    """phi(w) of each packed word w of a rank phi must have, recomputed exactly
+    from its bytes b as sum_j 256^j * sum(b.translate(T_j)) - off*len(b) over
+    `_digit_tables`; every degree and rank check in this module comes from
+    here.  Slope (1000, -7) raises byte values up to 4000, so it takes two tables:
 
     >>> from .fox import _pack
-    >>> _degrees([_pack(w, 2) for w in ((), (2, 2, -1), (-2,))], Slope((3, -1)))
+    >>> _degrees([_pack(w, 2) for w in ((), (2, 2, -1), (-2,))], Slope((3, -1)), 2)
     [0, -5, 1]
-    >>> _degrees([_pack((1, 1, -2, 1), 2), _pack((-1, 2), 2)], Slope((1000, -7)))
+    >>> _degrees([_pack((1, 1, -2, 1), 2), _pack((-1, 2), 2)], Slope((1000, -7)), 2)
     [3007, -1007]
     """
-    rank = len(phi.values)
+    if len(phi.values) != rank:
+        raise ValueError("slope rank mismatch")
     if _width(rank) > 8:
         return [phi.of_word(_unpack(w, rank)) for w in words]
     off, low, high = _digit_tables(phi.values)
@@ -106,9 +107,9 @@ def _degrees(words: Iterable[int], phi: Slope) -> list[int]:
     return out
 
 
-def _min_degree(words: Iterable[int], phi: Slope) -> Optional[int]:
+def _min_degree(words: Iterable[int], phi: Slope, rank: int) -> Optional[int]:
     """Least degree over `words`, in one batched pass; None when empty."""
-    return min(_degrees(words, phi), default=None)
+    return min(_degrees(words, phi, rank), default=None)
 
 
 def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
@@ -121,7 +122,7 @@ def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
     """
     terms = e._terms
     buckets: dict[int, Terms] = {}
-    for w, p in zip(terms, _degrees(terms, phi)):
+    for w, p in zip(terms, _degrees(terms, phi, e.rank)):
         buckets.setdefault(p, {})[w] = terms[w]
     comps = {
         p: _trusted(GroupRingElement, part, e.rank) for p, part in sorted(buckets.items())
@@ -131,7 +132,7 @@ def grade(e: GroupRingElement, phi: Slope) -> GradedElement:
 
 def min_degree(e: GroupRingElement, phi: Slope) -> Optional[int]:
     """Least slope value over the support; None for the zero element."""
-    return _min_degree(e._terms, phi)
+    return _min_degree(e._terms, phi, e.rank)
 
 
 @dataclass(frozen=True)
@@ -164,19 +165,20 @@ def _classify_case(r: CyclicWord, heights: tuple[int, ...], i_gen: int, n_gen: i
     return "edge-flat-i" if r.cyclic_letter(where) == i_gen else "edge-flat-i-inv"
 
 
-def verify_fox_lowest_terms(
-    relators: Sequence[CyclicWord],
-    phi: Slope,
-    *,
-    _jac: Optional[JacobianMatrix] = None,
-) -> LowestTermReport:
+def verify_fox_lowest_terms(relators: Sequence[CyclicWord], phi: Slope) -> LowestTermReport:
     """Check the graded lowest-term structure of the Jacobian for a tuple in
     *standard* minimum form (identity witness): for each row i the diagonal
     entry d(r_i)/d(x_i) has a one-word lowest component at degree P_i (the
     height-profile minimum) with coefficient +-1, and every other entry of
-    the row has min degree >= P_i + 1.  Violations raise ValueError.
-    `_jac` is the tuple's Jacobian when the caller has already built it."""
-    relators = tuple(relators)
+    the row has min degree >= P_i + 1.  Violations raise ValueError."""
+    return _lowest_terms(tuple(relators), phi)[0]
+
+
+def _lowest_terms(
+    relators: tuple[CyclicWord, ...], phi: Slope
+) -> tuple[LowestTermReport, JacobianMatrix]:
+    """`verify_fox_lowest_terms`, with the Jacobian it builds once the
+    standard witness is checked."""
     witness = standard_witness(relators, phi)
     if isinstance(witness, MinConditionFailure):
         raise ValueError(
@@ -184,7 +186,7 @@ def verify_fox_lowest_terms(
             f" ({witness.detail})"
         )
     n = relators[0].rank
-    jac = _jac if _jac is not None else jacobian(Presentation(n, relators))
+    jac = jacobian(Presentation(n, relators))
     rows = []
     for i, (r, heights) in enumerate(zip(relators, _profiles(relators, phi))):
         p_i = min(heights)
@@ -218,7 +220,7 @@ def verify_fox_lowest_terms(
                 off_diagonal_min_degrees=tuple(offs),
             )
         )
-    return LowestTermReport(tuple(rows), phi)
+    return LowestTermReport(tuple(rows), phi), jac
 
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
@@ -304,7 +306,7 @@ def truncated_neumann_inverse(
     b = _minus_eye([[dict(e) for e in row] for row in a])
     for i in range(size):
         for j in range(size):
-            d = _min_degree(b[i][j], phi)
+            d = _min_degree(b[i][j], phi, rank)
             if d is not None and d < 1:
                 where = "diagonal" if i == j else "off-diagonal"
                 raise ValueError(
@@ -334,7 +336,7 @@ def truncated_neumann_inverse(
         or _minus_eye(_matmul(series, a, rank)) != error  # C_K*A - I
     ):
         raise AssertionError("telescoping identity failed (ring arithmetic bug)")
-    edeg = _min_degree(chain.from_iterable(chain.from_iterable(error)), phi)
+    edeg = _min_degree(chain.from_iterable(chain.from_iterable(error)), phi, rank)
     if edeg is not None and edeg < order:
         raise AssertionError("error degree below truncation order (grading bug)")
 
@@ -370,9 +372,7 @@ def injectivity_certificate(
     _check_series_args(order, term_cap)  # before any of the pipeline runs
     witness, std_relators, std_phi, relab = _standard_form(p.relators, phi)
     m = len(std_relators)
-    n = p.rank
-    jac = jacobian(Presentation(n, std_relators))
-    report = verify_fox_lowest_terms(std_relators, std_phi, _jac=jac)
+    report, jac = _lowest_terms(std_relators, std_phi)
     rows = []
     for i in range(m):
         unit = GroupRingElement.from_word(

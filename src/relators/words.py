@@ -148,11 +148,12 @@ class CyclicWord(_Letters):
 
     def cyclic_subword(self, start: int, length: int) -> Word:
         """The subword of `length` letters read from cyclic position `start`."""
+        if length < 0:
+            raise ValueError(f"negative subword length {length}")
         if length > len(self.letters):
             raise ValueError("subword longer than the cycle")
         lts = self.letters
-        l = len(lts)
-        start %= l
+        start %= len(lts)
         out = lts[start : start + length]
         if len(out) < length:
             out = out + lts[: length - len(out)]

@@ -241,6 +241,13 @@ def test_forward_rank_matches_rational_elimination(case):
     assert matrix_rank(rows, n) == len(hermite_row_basis(rows))
 
 
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4, 5]], [[0, 0], [3, 4, 5]]])
+def test_every_elimination_rejects_ragged_rows(rows):
+    for eliminate in (hermite_row_basis, matrix_rank, smith_normal_form):
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            eliminate(rows)
+
+
 def test_rank_rejects_ragged_matrices():
     with pytest.raises(ValueError, match="ragged matrix"):
         matrix_rank([[1, 2], [3]])

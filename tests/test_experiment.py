@@ -70,6 +70,12 @@ def test_wilson_boundaries_are_exact():
         wilson_interval(1, 0)
 
 
+@pytest.mark.parametrize("successes", [5, -1])
+def test_wilson_refuses_successes_outside_the_trials(successes):
+    with pytest.raises(ValueError, match=rf"^successes {successes} not in \[0, 3\]$"):
+        wilson_interval(successes, 3)
+
+
 def test_wilson_endpoints_solve_score_quadratic():
     z = 1.959963984540054
     for successes, trials in ((7, 50), (1, 10), (33, 40), (250, 500)):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import relators.novikov as novikov
 
-from relators.abelian import Slope, first_betti_number, slope_basis
+from relators.abelian import Slope, count_slope_classes, first_betti_number, slope_basis
 from relators.fox import (
     GroupRingElement,
     _pack,
@@ -15,7 +15,13 @@ from relators.fox import (
     jacobian,
     parse_ring_element,
 )
-from relators.mincond import standardize, check_minimum_condition, tau_deficiency_one
+from relators.mincond import (
+    check_minimum_condition,
+    height_profile,
+    lower_section,
+    standardize,
+    tau_deficiency_one,
+)
 from relators.novikov import (
     TermLimitExceeded,
     grade,
@@ -410,11 +416,11 @@ def test_batched_degrees_match_slope_of_word(case):
     words = words + [Word((), rank)]
     packed = [_pack(w.letters, rank) for w in words]
     expected = [phi.of_word(w) for w in words]
-    assert novikov._degrees(packed, phi) == expected
-    assert novikov._degrees(packed[-1:], phi) == [0]  # the empty word
-    assert novikov._degrees([], phi) == []
-    assert novikov._min_degree(packed, phi) == min(expected)
-    assert novikov._min_degree([], phi) is None
+    assert novikov._degrees(packed, phi, rank) == expected
+    assert novikov._degrees(packed[-1:], phi, rank) == [0]  # the empty word
+    assert novikov._degrees([], phi, rank) == []
+    assert novikov._min_degree(packed, phi, rank) == min(expected)
+    assert novikov._min_degree([], phi, rank) is None
 
 
 def test_certificate_degrees_scale_with_the_slope():
@@ -483,3 +489,40 @@ def test_certificate_matrices_unchanged_by_later_arithmetic():
         cert.truncated_inverse,
         cert.error_matrix,
     )
+
+
+# -- a slope of another rank than the words it grades ------------------------
+
+_REL = parse_cyclic_word("x2 x1 X2 X1", 2)
+_WITNESS = check_minimum_condition((_REL,), Slope((0, 1)))
+RANK_MISMATCH_CALLS = {
+    "height_profile": lambda phi: height_profile(_REL, phi),
+    "lower_section": lambda phi: lower_section(_REL, phi),
+    "count_slope_classes": lambda phi: count_slope_classes(Presentation(2, [_REL]), [phi]),
+    "standardize": lambda phi: standardize((_REL,), phi, _WITNESS),
+    "grade": lambda phi: grade(elem("1*[X1] + 1*[x2]"), phi),
+    "min_degree": lambda phi: min_degree(elem("1*[X1] + 1*[x2]"), phi),
+    "truncated_neumann_inverse": lambda phi: truncated_neumann_inverse(
+        ((elem("1*[] + -1*[X2]"),),), phi, 3
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RANK_MISMATCH_CALLS))
+@pytest.mark.parametrize("values", [(-1,), (-1, 5, 5), (1, 0, 7)])
+def test_slope_of_another_rank_raises(entry, values):
+    """Every entry point that grades rank-2 words by a slope refuses a
+    shorter or a longer one, instead of a KeyError, ignored values or a
+    digit read through the wrong table."""
+    with pytest.raises(ValueError, match="^slope rank mismatch$"):
+        RANK_MISMATCH_CALLS[entry](Slope(values))
+
+
+def test_right_rank_results_behind_the_rank_check():
+    assert grade(elem("1*[X1] + 1*[x2]"), Slope((1, 0))).components.keys() == {-1, 0}
+    assert min_degree(elem("1*[X1] + 1*[x2]"), Slope((1, 0))) == -1
+    cert = truncated_neumann_inverse(((elem("1*[] + -1*[X2]"),),), Slope((-1, -1)), 3)
+    assert cert.error_min_degree == 3
+    assert novikov._degrees([_pack((1, 2), 2)], Slope((1, 0)), 2) == [1]
+    with pytest.raises(ValueError, match="^slope rank mismatch$"):
+        novikov._degrees([], Slope((1, 0, 7)), 2)

@@ -125,6 +125,16 @@ def test_cyclic_word_rotation_and_inverse():
     assert w.cyclic_subword(3, 3).letters == (-2, 1, 2)
 
 
+def test_cyclic_subword_length_bounds():
+    w = parse_cyclic_word("x1 x2 X1 X2", 2)
+    assert w.cyclic_subword(2, 0).letters == ()
+    assert w.cyclic_subword(1, 4).letters == (2, -1, -2, 1)
+    with pytest.raises(ValueError, match="^negative subword length -1$"):
+        w.cyclic_subword(0, -1)
+    with pytest.raises(ValueError, match="^subword longer than the cycle$"):
+        w.cyclic_subword(0, 5)
+
+
 def test_equality_distinguishes_rotations():
     # stored representatives with basepoints: rotations are different data
     w = parse_cyclic_word("x1 x2", 2)
