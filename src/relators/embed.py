@@ -162,7 +162,7 @@ def _visible_piece(w: Word, big_n: int, y_len: int) -> bool:
     return w.letters[a : a + size] == w.letters[b : b + size]
 
 
-def _image_heights(words: tuple[Word, ...], step: dict[int, int]) -> dict[int, tuple[int, int]]:
+def _image_heights(words: tuple[Word, ...], step: list[int]) -> dict[int, tuple[int, int]]:
     """For each letter +-g, the height total and the least prefix height
     (the empty prefix included) of its image, w_g or w_g^-1."""
     out = {}

@@ -74,12 +74,17 @@ class LowerSection:
         )
 
 
-def _height_steps(phi: Slope) -> dict[int, int]:
-    """phi of every letter: the height step along an edge carrying it."""
-    return {s * g: s * v for g, v in enumerate(phi.values, 1) for s in (1, -1)}
+def _height_steps(phi: Slope) -> list[int]:
+    """phi of every letter a, the height step along an edge carrying it, at
+    index a (a list: hash(-1) == hash(-2) in CPython, so a dict collides).
+
+    >>> _height_steps(Slope((3, -5)))  # index 0, then x1, x2, X2 (-2), X1 (-1)
+    [0, 3, -5, 5, -3]
+    """
+    return [0, *phi.values, *(-v for v in reversed(phi.values))]
 
 
-def _heights(letters: Sequence[int], step: dict[int, int]) -> Iterator[int]:
+def _heights(letters: Sequence[int], step: list[int]) -> Iterator[int]:
     """The partial sums of `step` along the letters, lazily: the vertex
     heights from the basepoint, then the height of the whole word."""
     return accumulate(map(step.__getitem__, letters), initial=0)

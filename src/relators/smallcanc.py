@@ -123,9 +123,9 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
     packed = (present - 1).astype(np.uint64)[codes]  # dense (tuple, letter) ranks
     # every text comes with its inverse, so there are >= 2 ranks and b >= 1
     b = (int(present[-1]) - 1).bit_length()
-    step = np.arange(1, n + 1, dtype=np.int32)
+    step = np.arange(1, n + 1, dtype=np.intp)
     step[first + size - 1] = first  # the next letter, cyclically
-    jump, k = step, 0  # packed holds the first 2^k letters, first letter highest
+    jump, ahead, k = step, None, 0  # packed holds the first 2^k letters, first letter highest
     while b << (k + 1) <= 64 and 1 << k < top:
         if k:
             jump = jump[jump]  # 2^k letters on
@@ -133,6 +133,7 @@ def _pair_maxima_batch(tuples: Sequence[Sequence[CyclicWord]]):
         packed <<= b << k
         packed |= ahead
         k += 1
+    del parts, fwd, codes, present, jump, ahead  # only the scan's inputs live through the sort
 
     order, gap = _sorted_rotations(packed, step, text, first, size, b, k, top)
     owner = text[order]
@@ -351,7 +352,7 @@ def _equal_code_lcps(order, same, live, runs, packed, step, b: int, k: int, cap:
     distance; `cap` exceeds D by the longest text, so an LCP that reaches D stays at D or
     more along its chain."""
     lo, hi = order[same], order[same + 1]
-    pred = np.full(len(packed), -1, dtype=np.int32)
+    pred = np.full(len(packed), -1, dtype=np.intp)
     pred[hi] = lo
     # hi - 1 steps to hi unless hi starts its text (hi = 0 reads the last rotation,
     # which steps to the start of the last text, never to 0)
@@ -375,7 +376,7 @@ def _equal_code_lcps(order, same, live, runs, packed, step, b: int, k: int, cap:
     # a chain runs along its text from its irreducible pair: the nearest one at or before
     # each hi in rotation-index order
     kid, start = np.flatnonzero(inherit), hi[root]
-    src = np.zeros(len(packed), dtype=np.int32)
+    src = np.zeros(len(packed), dtype=np.intp)
     src[start] = start
     src = np.maximum.accumulate(src)[hi[kid]]
     known = np.empty(len(packed), dtype=np.int64)

@@ -3,6 +3,7 @@
 A letter is a nonzero integer: ``3`` means the generator x3, ``-3`` its
 inverse.  Words are freely reduced letter tuples, cyclic words are freely
 *and* cyclically reduced (first letter is not the inverse of the last).
+Reducedness is checked in C, as no zero sum of neighbours (a and -a sum to 0).
 Cyclic words keep a fixed basepoint representative: rotations are distinct
 objects, which matches counting ordered tuples of words and gives a scan
 order for "first minimal vertex" searches elsewhere in the package.
@@ -17,6 +18,7 @@ ignored, e.g. ``"x1 x2 X1 X2"``.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -88,9 +90,10 @@ class Word(_Letters):
     def __init__(self, letters: Iterable[int], rank: int):
         letters = tuple(letters)
         _check_letters(letters, rank)
-        for k in range(len(letters) - 1):
-            if letters[k] == -letters[k + 1]:
-                raise ValueError(f"word is not freely reduced at position {k}")
+        if not all(map(operator.add, letters, letters[1:])):  # the loop only names the position
+            for k in range(len(letters) - 1):
+                if letters[k] == -letters[k + 1]:
+                    raise ValueError(f"word is not freely reduced at position {k}")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
 
@@ -105,7 +108,7 @@ class Word(_Letters):
         return reduce(self.letters + other.letters, self.rank)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-a for a in reversed(self.letters)), self.rank)
+        return _trusted(Word, tuple(map(operator.neg, reversed(self.letters))), self.rank)
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -137,9 +140,10 @@ class CyclicWord(_Letters):
         if not letters:
             raise ValueError("cyclic word must be nonempty")
         _check_letters(letters, rank)
-        for k in range(len(letters)):
-            if letters[k] == -letters[(k + 1) % len(letters)]:
-                raise ValueError(f"word is not cyclically reduced at position {k}")
+        if not all(map(operator.add, letters, letters[1:] + letters[:1])):
+            for k in range(len(letters)):
+                if letters[k] == -letters[(k + 1) % len(letters)]:
+                    raise ValueError(f"word is not cyclically reduced at position {k}")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
 
@@ -157,16 +161,16 @@ class CyclicWord(_Letters):
         out = lts[start : start + length]
         if len(out) < length:
             out = out + lts[: length - len(out)]
-        return Word(out, self.rank)
+        return _trusted(Word, out, self.rank)
 
     def rotation(self, k: int) -> "CyclicWord":
         """Representative with basepoint moved forward by k edges."""
         l = len(self.letters)
         k %= l
-        return CyclicWord(self.letters[k:] + self.letters[:k], self.rank)
+        return _trusted(CyclicWord, self.letters[k:] + self.letters[:k], self.rank)
 
     def inverse(self) -> "CyclicWord":
-        return CyclicWord(tuple(-a for a in reversed(self.letters)), self.rank)
+        return _trusted(CyclicWord, tuple(map(operator.neg, reversed(self.letters))), self.rank)
 
 
 def _trusted(cls, *values):

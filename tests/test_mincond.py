@@ -4,7 +4,7 @@ import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from relators.abelian import (
     Slope,
@@ -18,6 +18,7 @@ from relators.mincond import (
     MinConditionWitness,
     Relabeling,
     _cut,
+    _height_steps,
     _insert,
     _profiles,
     _section_shape,
@@ -34,9 +35,11 @@ from relators.mincond import (
 from relators.words import (
     CyclicWord,
     Presentation,
+    cyclic_reduce,
     enumerate_cyclically_reduced,
     format_word,
     parse_cyclic_word,
+    reduce,
     sample_cyclically_reduced,
 )
 
@@ -416,6 +419,68 @@ def test_height_pass_and_classifier_agree_with_previous_routines(case):
     p = Presentation(len(phi), relators)
     slopes = [phi, *enumerate_kernel_slopes(p, 1)]
     assert count_slope_classes(p, slopes) == oracle_count_slope_classes(p, slopes)
+
+
+def oracle_dict_profiles(relators, phi):
+    """The height pass with a {letter: phi} step dict, as `_profiles` ran
+    before its step table became a list indexed by signed letter."""
+    step = {s * g: s * v for g, v in enumerate(phi.values, 1) for s in (1, -1)}
+    out = []
+    for idx, r in enumerate(relators):
+        if r.rank != len(phi.values):
+            raise ValueError("slope rank mismatch")
+        heights = tuple(accumulate(map(step.__getitem__, r.letters), initial=0))
+        if heights[-1]:
+            raise ValueError(f"slope does not annihilate relator {idx}")
+        out.append(heights[:-1])
+    return tuple(out)
+
+
+slope_values_st = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+)
+
+
+@given(slope_values_st)
+def test_height_steps_hold_phi_of_every_signed_letter(values):
+    step = _height_steps(Slope(values))
+    assert len(step) == 2 * len(values) + 1 and step[0] == 0
+    for g, v in enumerate(values, 1):
+        assert step[g] == v and step[-g] == -v
+
+
+@st.composite
+def step_cases(draw):
+    """Relators of rank 1..8 and a slope with entries in [-50, 50], zeros
+    included: most relators are balanced (w then a shuffled w inverted, so
+    every slope annihilates them), some are not, and some slopes have
+    another rank."""
+    values = draw(slope_values_st)
+    n = len(values)
+    rank = draw(st.sampled_from([n] * 8 + [n - 1, n + 1]).filter(lambda k: k >= 1))
+    alphabet = [a for g in range(1, rank + 1) for a in (g, -g)]
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=20))
+        if draw(st.integers(0, 4)):
+            w = w + [-a for a in draw(st.permutations(w))]
+        w = reduce(w, rank)
+        if len(w):  # a nonempty reduced word has a nonempty cyclic core
+            relators.append(cyclic_reduce(w)[0])
+    assume(relators)
+    return tuple(relators), Slope(values)
+
+
+@given(step_cases())
+@settings(max_examples=300, deadline=None)
+def test_height_pass_equals_the_step_dict_pass(case):
+    def outcome(profiles, relators, phi):
+        try:
+            return profiles(relators, phi)
+        except ValueError as e:
+            return f"ValueError: {e}"
+
+    assert outcome(_profiles, *case) == outcome(oracle_dict_profiles, *case)
 
 
 @given(oracle_cases())

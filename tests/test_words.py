@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relators.smallcanc import check_small_cancellation
 from relators.words import (
@@ -367,6 +367,74 @@ def round_trips(value):
 words_st = letters_st.map(lambda ls: reduce(ls, 3))
 cyclic_words_st = words_st.filter(len).map(lambda w: cyclic_reduce(w)[0])
 presentations_st = st.lists(cyclic_words_st, max_size=3).map(lambda rs: Presentation(3, rs))
+
+
+def same_value(got, cls, letters, rank):
+    """got is what the validating constructor makes of letters: equal, with
+    the same hash and repr, and a plain letter tuple."""
+    want = cls(letters, rank)
+    assert type(got) is cls and type(got.letters) is tuple
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+@given(words_st, cyclic_words_st, st.integers(-30, 30), st.data())
+def test_derived_words_equal_validated_ones(w, c, k, data):
+    same_value(w.inverse(), Word, [-a for a in reversed(w.letters)], 3)
+    same_value(c.inverse(), CyclicWord, [-a for a in reversed(c.letters)], 3)
+    l = len(c)
+    same_value(c.rotation(k), CyclicWord, [c.letters[(k + j) % l] for j in range(l)], 3)
+    length = data.draw(st.integers(0, l))
+    sub = [c.letters[(k + j) % l] for j in range(length)]
+    same_value(c.cyclic_subword(k, length), Word, sub, 3)
+
+
+def first_inverse_pair(letters, cyclic):
+    """Oracle: the first position k whose letter the next one (cyclically,
+    for a cyclic word) inverts, or None."""
+    l = len(letters)
+    ends = l if cyclic else l - 1
+    return next((k for k in range(ends) if letters[k] == -letters[(k + 1) % l]), None)
+
+
+def check_reducedness(letters):
+    """Word and CyclicWord accept letters exactly when the oracle finds no
+    inverse pair, and otherwise name its position."""
+    letters = tuple(letters)
+    for cls, cyclic, kind in ((Word, False, "freely"), (CyclicWord, True, "cyclically")):
+        k = first_inverse_pair(letters, cyclic)
+        if cyclic and not letters:
+            with pytest.raises(ValueError, match="^cyclic word must be nonempty$"):
+                cls(letters, 3)
+        elif k is None:
+            assert cls(letters, 3).letters == letters
+        else:
+            with pytest.raises(ValueError, match=f"^word is not {kind} reduced at position {k}$"):
+                cls(letters, 3)
+
+
+@st.composite
+def planted_letters(draw):
+    """Letters over rank 3, raw or freely reduced, with 0-2 inverse pairs
+    planted at drawn positions; position |w| - 1 plants the wrap pair."""
+    letters = list(draw(st.one_of(letters_st, words_st.map(lambda w: w.letters))))
+    for _ in range(draw(st.integers(0, 2)) if letters else 0):
+        last = len(letters) - 1
+        k = draw(st.one_of(st.just(last), st.integers(0, last)))
+        letters[(k + 1) % len(letters)] = -letters[k]
+    return letters
+
+
+@given(planted_letters())
+@settings(max_examples=300)
+def test_reducedness_checks_name_the_loop_oracles_first_position(letters):
+    check_reducedness(letters)
+
+
+def test_reducedness_checks_on_every_short_word():
+    alphabet = (1, -1, 2, -2, 3, -3)
+    for length in range(4):
+        for letters in itertools.product(alphabet, repeat=length):
+            check_reducedness(letters)
 
 
 @given(st.lists(words_st, min_size=1, max_size=4), st.one_of(words_st, cyclic_words_st))
