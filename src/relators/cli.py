@@ -49,6 +49,7 @@ from .words import (
     Presentation,
     Word,
     format_word,
+    infer_rank,
     parse_letters,
     sample_cyclically_reduced,
 )
@@ -108,17 +109,18 @@ def _read_lines(path: str) -> list[str]:
     return lines
 
 
-def _read_relators(path: str, rank: Optional[int]) -> tuple[CyclicWord, ...]:
+def _read_presentation(path: str, rank: Optional[int]) -> Presentation:
     words = [parse_letters(line) for line in _read_lines(path)]
     if not words:
         raise ValueError("no relators in input")
-    if rank is None:
-        rank = max(abs(a) for w in words for a in w)
-    return tuple(CyclicWord(w, rank) for w in words)
+    rank = infer_rank(words, rank)
+    return Presentation(rank, [CyclicWord(w, rank) for w in words])
 
 
-def _parse_phi(text: str) -> Slope:
-    return Slope(int(x) for x in text.split(","))
+def _read_slope_input(args) -> tuple[Slope, Presentation]:
+    """The slope given by --phi ('0,-1') and the relators over its rank."""
+    phi = Slope(int(x) for x in args.phi.split(","))
+    return phi, _read_presentation(args.relators, len(phi))
 
 
 def _cmd_sample(args) -> int:
@@ -134,16 +136,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_check_sc(args) -> int:
-    relators = _read_relators(args.relators, args.rank)
-    ok, report = check_small_cancellation(relators, args.lam)
+    p = _read_presentation(args.relators, args.rank)
+    ok, report = check_small_cancellation(p.relators, args.lam)
     _emit_json({"passed": ok, "lambda": args.lam, "report": report}, args.out)
     return 0 if ok else 1
 
 
 def _cmd_mincond(args) -> int:
-    phi = _parse_phi(args.phi)
-    relators = _read_relators(args.relators, len(phi))
-    result = check_minimum_condition(relators, phi)
+    phi, p = _read_slope_input(args)
+    result = check_minimum_condition(p.relators, phi)
     if isinstance(result, MinConditionFailure):
         _emit_json({"satisfied": False, "failure": result}, args.out)
         return 1
@@ -152,16 +153,14 @@ def _cmd_mincond(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    relators = _read_relators(args.relators, args.rank)
-    rank = args.rank if args.rank is not None else relators[0].rank
-    out = tau_deficiency_one(relators, rank)
+    p = _read_presentation(args.relators, args.rank)
+    out = tau_deficiency_one(p.relators, p.rank)
     _emit("\n".join(format_word(r) for r in out) + "\n", args.out)
     return 0
 
 
 def _cmd_slopes(args) -> int:
-    relators = _read_relators(args.relators, args.rank)
-    p = Presentation(relators[0].rank, relators)
+    p = _read_presentation(args.relators, args.rank)
     basis = slope_basis(p)
     valid = enumerate_valid_slopes(p, args.box)
     classes, reps = count_slope_classes(p, valid)
@@ -180,9 +179,7 @@ def _cmd_slopes(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    phi = _parse_phi(args.phi)
-    relators = _read_relators(args.relators, len(phi))
-    p = Presentation(len(phi), relators)
+    phi, p = _read_slope_input(args)
     cert = injectivity_certificate(p, phi, args.order, term_cap=args.term_cap)
     rows = [
         {
@@ -207,9 +204,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    phi = _parse_phi(args.phi)
-    relators = _read_relators(args.relators, len(phi))
-    p = Presentation(len(phi), relators)
+    phi, p = _read_slope_input(args)
     plan, report = embed_presentation(
         p,
         phi,

@@ -17,13 +17,13 @@ a lone flat y_i edge flanked by z-letters: the minimum condition transfers
 with i-role y_i and n-role z, and the raw-loop minimum satisfies
 psi_min(i) = phi_min(i) - N(N+1)/2.
 
-N is searched upward; every claimed property is re-checked by the piece
-scanner and the minimum-condition decision procedure rather than trusted
-from the construction.  A height may be rejected without a scan, but only
-on a piece found by comparing two slices of a w-word (`_visible_piece`);
-only the scanner accepts one.  The invariants of the construction are
-checked by raising `AssertionError`, not by `assert`, so they hold under
-``python -O`` too.
+N is searched upward, and a height is rejected only on small cancellation:
+the w-words fail C'(1/12), on a piece found by comparing two slices of a
+w-word (`_visible_piece`) or by the scanner, or, under the C'(1/6)
+guarantee, the target fails C'(1/6).  Every other claimed property, the
+psi-minimum identity and the identity witness included, is an invariant,
+re-checked exactly and never trusted: a failure raises `AssertionError`
+(not `assert`, so the checks hold under ``python -O`` too).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .words import CyclicWord, Presentation, Substitution, Word, cyclic_reduce, 
 
 
 class BlockHeightExceeded(RuntimeError):
-    """Raised when no block height up to the cap passes every embedding
-    check."""
+    """Raised when no block height up to the cap passes the small-cancellation
+    checks."""
 
 
 @dataclass(frozen=True)
@@ -162,18 +162,17 @@ def _visible_piece(w: Word, big_n: int, y_len: int) -> bool:
     return w.letters[a : a + size] == w.letters[b : b + size]
 
 
-def _image_heights(words: tuple[Word, ...], step: list[int]) -> dict[int, tuple[int, int]]:
-    """For each letter +-g, the height total and the least prefix height
-    (the empty prefix included) of its image, w_g or w_g^-1."""
-    out = {}
-    for g, w in enumerate(words, 1):
-        for a, image in ((g, w), (-g, w.inverse())):
-            heights = list(_heights(image.letters, step))
-            out[a] = (heights[-1], min(heights))
+def _image_heights(sub: Substitution, step: list[int]) -> list[tuple[int, int]]:
+    """At index a, for each letter a, the height total and the least prefix
+    height (the empty prefix included) of its image under sub."""
+    out = []
+    for image in sub.letter_images:
+        heights = list(_heights(image, step))
+        out.append((heights[-1], min(heights)))
     return out
 
 
-def _raw_min_height(letters: tuple[int, ...], image_heights: dict[int, tuple[int, int]]) -> int:
+def _raw_min_height(letters: tuple[int, ...], image_heights: list[tuple[int, int]]) -> int:
     """min(_heights(raw image of letters, step)), exactly, without walking the
     raw image: each letter's image reaches its least height above the height
     at which it starts."""
@@ -197,10 +196,10 @@ def embed_presentation(
     guarantee_c16: bool = False,
     max_block_height: int = 64,
 ) -> tuple[EmbeddingPlan, EmbeddingReport]:
-    """Search the smallest block height N whose w-words pass C'(1/12) and
-    whose substituted relators pass the psi-minimum condition with the
-    identity roles (and C'(1/6), when guaranteed); verify the profile
-    identities exactly along the way.
+    """Search the smallest block height N whose w-words pass C'(1/12) (and
+    whose target passes C'(1/6), when guaranteed).  The profile identities and
+    the target's psi-minimum condition with the identity roles are invariants:
+    each is checked exactly, and a failure raises AssertionError.
 
     With guarantee_c16 the theorem hypotheses are enforced up front: the
     source must pass C'(1/(6+epsilon)) and every relator length must exceed
@@ -248,19 +247,19 @@ def embed_presentation(
         if not w_ok:
             continue
         # psi_min(i) = phi_min(i) - N(N+1)/2, measured on the raw image loops
-        image_heights = _image_heights(words, step)
+        sub = Substitution(words)
+        image_heights = _image_heights(sub, step)
         psi_min = tuple(_raw_min_height(r.letters, image_heights) for r in relators)
         if any(lo != f - big_n * (big_n + 1) // 2 for lo, f in zip(psi_min, phi_min)):
-            continue
+            raise AssertionError("psi_min != phi_min - N(N+1)/2")
 
-        sub = Substitution(words)
         target = tuple(cyclic_reduce(substitute(sub, r))[0] for r in relators)
         for i, s in enumerate(target):
             if s.exponent_sum(z):
                 raise AssertionError(f"psi(s_{i + 1}) != 0")
         s_witness = standard_witness(target, psi)
         if isinstance(s_witness, MinConditionFailure):
-            continue
+            raise AssertionError(f"the target fails the identity witness: {s_witness.detail}")
 
         s_ok: Optional[bool] = None
         if guarantee_c16:

@@ -421,6 +421,9 @@ def parse_lengths(text: str) -> tuple[int, ...]:
 
 
 def _parse_flag(text: str) -> bool:
+    """1, true or yes, or 0, false or no, in any case."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a true/false value: {text!r}")
     return text.lower() in ("1", "true", "yes")
 
 

@@ -229,6 +229,12 @@ def _inversion_signs(phi: Slope, g: int) -> tuple[int, ...]:
     return tuple(-1 if (v > 0 if k == g else v < 0) else 1 for k, v in enumerate(phi.values, 1))
 
 
+def _witness(phi: Slope, shapes, n_role: int, i_roles: tuple[int, ...]) -> MinConditionWitness:
+    """The witness of the roles (n_role, i_roles) on the classified shapes."""
+    tags = tuple(tag for tag, _ in shapes)
+    return MinConditionWitness(n_role, i_roles, tags, _inversion_signs(phi, n_role))
+
+
 def check_minimum_condition(
     relators: Sequence[CyclicWord], phi: Slope
 ) -> MinConditionWitness | MinConditionFailure:
@@ -246,12 +252,7 @@ def check_minimum_condition(
         i_roles = tuple(forced.get(g) for _, forced in shapes)
         if None in i_roles or len(set(i_roles)) < len(i_roles):
             continue
-        return MinConditionWitness(
-            n_role=g,
-            i_roles=i_roles,
-            case_tags=tuple(tag for tag, _ in shapes),
-            inversion_signs=_inversion_signs(phi, g),
-        )
+        return _witness(phi, shapes, g, i_roles)
     # the detail text is part of the CLI's JSON output; kept byte-stable
     return MinConditionFailure(None, "no-assignment", "no n-role admits a matching")
 
@@ -277,12 +278,7 @@ def standard_witness(
             return MinConditionFailure(
                 i, "no-assignment", f"identity roles (x{i + 1}, x{n}) not admissible"
             )
-    return MinConditionWitness(
-        n_role=n,
-        i_roles=tuple(range(1, len(relators) + 1)),
-        case_tags=tuple(tag for tag, _ in shapes),
-        inversion_signs=_inversion_signs(phi, n),
-    )
+    return _witness(phi, shapes, n, tuple(range(1, len(relators) + 1)))
 
 
 @dataclass(frozen=True)
@@ -373,6 +369,20 @@ def _insert(r: CyclicWord, v: int, quad: tuple[int, int, int, int]) -> CyclicWor
     return CyclicWord(letters, r.rank)
 
 
+def _insert_quads(relators: Sequence[CyclicWord], phi: Slope, quad) -> tuple[CyclicWord, ...]:
+    """Relator i (from 1) with quad(i, a) inserted at its first minimal
+    vertex under phi, where a is the letter leaving that vertex."""
+    out = []
+    for i, (r, h) in enumerate(zip(relators, _profiles(relators, phi)), 1):
+        v = h.index(min(h))
+        out.append(_insert(r, v, quad(i, r.letters[v])))
+    return tuple(out)
+
+
+def _first_nonzero(phi: Slope) -> int:
+    return next(g for g, v in enumerate(phi.values, 1) if v)
+
+
 def tau_deficiency_one(
     relators: Sequence[CyclicWord], rank: int
 ) -> tuple[CyclicWord, ...]:
@@ -387,10 +397,9 @@ def tau_deficiency_one(
     CyclicWord('x1 x2 x2 X1 X2 x1 x1 X2', rank=2)
     """
     relators = tuple(relators)
-    n = rank
-    if len(relators) != n - 1:
+    if len(relators) != rank - 1:
         raise ValueError("expected exactly rank-1 relators")
-    basis = slope_basis(Presentation(n, relators))
+    basis = slope_basis(Presentation(rank, relators))
     if len(basis) != 1:
         raise ValueError("first Betti number must be 1")
     return _tau_insert(relators, basis[0])
@@ -408,18 +417,15 @@ def _tau_insert(relators: tuple[CyclicWord, ...], phi: Slope) -> tuple[CyclicWor
       * the letter leaving v has phi >= 0, so for phi(x_i') != 0 it is
         never x_i'^eps, whose phi is negative, and on a flat x_i' the
         rule picks the eps it is not."""
-    n = len(relators) + 1
-    j = next(g for g in range(1, n + 1) if phi.of_generator(g) != 0)
+    j = _first_nonzero(phi)
 
-    out = []
-    for i0, (r, h) in enumerate(zip(relators, _profiles(relators, phi))):
-        i = i0 + 1
+    def quad(i: int, leaving: int) -> tuple[int, int, int, int]:
         ip = i if i < j else i + 1
-        v = h.index(min(h))
         val = phi.of_generator(ip)
-        eps = -1 if val > 0 or (val == 0 and r.letters[v] == ip) else 1
-        out.append(_insert(r, v, (j, eps * ip, -j, -eps * ip)))
-    return tuple(out)
+        eps = -1 if val > 0 or (val == 0 and leaving == ip) else 1
+        return j, eps * ip, -j, -eps * ip
+
+    return _insert_quads(relators, phi, quad)
 
 
 def tau_inverse(
@@ -432,16 +438,15 @@ def tau_inverse(
     a commutator keeps the exponent sums, so phi is the candidate's kernel
     slope too, and re-inserting cannot fail (see `_tau_insert`)."""
     relators = tuple(relators)
-    n = rank
-    if len(relators) != n - 1 or any(r.rank != n for r in relators):
+    if len(relators) != rank - 1 or any(r.rank != rank for r in relators):
         return None
     if any(len(r) < 5 for r in relators):
         return None
-    basis = slope_basis(Presentation(n, relators))
+    basis = slope_basis(Presentation(rank, relators))
     if len(basis) != 1:
         return None
     phi = basis[0]
-    j = next(g for g in range(1, n + 1) if phi.of_generator(g) != 0)
+    j = _first_nonzero(phi)
 
     recovered = []
     for r, h in zip(relators, _profiles(relators, phi)):
@@ -489,10 +494,9 @@ def tau_slope(relators: Sequence[CyclicWord], phi: Slope) -> tuple[CyclicWord, .
         raise ValueError("need fewer relators than generators")
     if not phi.is_valid():
         raise ValueError("slope must be nonzero on every generator")
-    out = []
-    for i0, (r, h) in enumerate(zip(relators, _profiles(relators, phi))):
-        i = i0 + 1
+
+    def quad(i: int, leaving: int) -> tuple[int, int, int, int]:
         sn, si = (1 if phi.of_generator(g) > 0 else -1 for g in (n, i))
-        quad = (-sn * n, -si * i, sn * n, si * i)
-        out.append(_insert(r, h.index(min(h)), quad))
-    return tuple(out)
+        return -sn * n, -si * i, sn * n, si * i
+
+    return _insert_quads(relators, phi, quad)

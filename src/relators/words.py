@@ -42,18 +42,39 @@ def letter_order(a: int) -> int:
     return 2 * (abs(a) - 1) + (1 if a < 0 else 0)
 
 
+@cache
+def _rank_letters(rank: int) -> frozenset[int]:
+    return frozenset(_letters_in_order(rank))
+
+
 def _check_letters(letters: Sequence[int], rank: int) -> None:
+    """Raise unless every letter is a value in +-1..+-rank (so an integer)."""
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
-    for a in letters:
-        if a == 0 or abs(a) > rank:
-            raise ValueError(f"letter {a} out of range for rank {rank}")
+    allowed = _rank_letters(rank)
+    if not allowed.issuperset(letters):  # the loop only names the letter
+        bad = next(a for a in letters if a not in allowed)
+        raise ValueError(f"letter {bad} out of range for rank {rank}")
 
 
 class _Letters:
-    """What `Word` and `CyclicWord` share: a letter tuple over a rank."""
+    """What `Word` and `CyclicWord` share: a letter tuple over a rank, checked on construction."""
 
     __slots__ = ()
+    _cyclic = False
+
+    def __init__(self, letters: Iterable[int], rank: int):
+        letters = tuple(letters)
+        if self._cyclic and not letters:
+            raise ValueError("cyclic word must be nonempty")
+        _check_letters(letters, rank)
+        after = letters[1:] + letters[:1] if self._cyclic else letters[1:]
+        if not all(map(operator.add, letters, after)):  # the loop only names the position
+            k = next(k for k, (a, b) in enumerate(zip(letters, after)) if a == -b)
+            kind = "cyclically" if self._cyclic else "freely"
+            raise ValueError(f"word is not {kind} reduced at position {k}")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -65,11 +86,14 @@ class _Letters:
         """Signed count of x_g letters."""
         return self.letters.count(g) - self.letters.count(-g)
 
+    def inverse(self):
+        return _trusted(type(self), tuple(map(operator.neg, reversed(self.letters))), self.rank)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({format_word(self)!r}, rank={self.rank})"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class Word(_Letters):
     """A freely reduced word over generators x1..x_rank.
 
@@ -87,16 +111,6 @@ class Word(_Letters):
     letters: tuple[int, ...]
     rank: int
 
-    def __init__(self, letters: Iterable[int], rank: int):
-        letters = tuple(letters)
-        _check_letters(letters, rank)
-        if not all(map(operator.add, letters, letters[1:])):  # the loop only names the position
-            for k in range(len(letters) - 1):
-                if letters[k] == -letters[k + 1]:
-                    raise ValueError(f"word is not freely reduced at position {k}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "rank", rank)
-
     def __getitem__(self, k):
         return self.letters[k]
 
@@ -107,9 +121,6 @@ class Word(_Letters):
             raise ValueError("rank mismatch")
         return reduce(self.letters + other.letters, self.rank)
 
-    def inverse(self) -> "Word":
-        return _trusted(Word, tuple(map(operator.neg, reversed(self.letters))), self.rank)
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -118,7 +129,7 @@ class Word(_Letters):
         return not w or w[0] != -w[-1]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class CyclicWord(_Letters):
     """A cyclically reduced word with a marked basepoint representative.
 
@@ -134,18 +145,7 @@ class CyclicWord(_Letters):
 
     letters: tuple[int, ...]
     rank: int
-
-    def __init__(self, letters: Iterable[int], rank: int):
-        letters = tuple(letters)
-        if not letters:
-            raise ValueError("cyclic word must be nonempty")
-        _check_letters(letters, rank)
-        if not all(map(operator.add, letters, letters[1:] + letters[:1])):
-            for k in range(len(letters)):
-                if letters[k] == -letters[(k + 1) % len(letters)]:
-                    raise ValueError(f"word is not cyclically reduced at position {k}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "rank", rank)
+    _cyclic = True
 
     def cyclic_letter(self, k: int) -> int:
         return self.letters[k % len(self.letters)]
@@ -169,9 +169,6 @@ class CyclicWord(_Letters):
         k %= l
         return _trusted(CyclicWord, self.letters[k:] + self.letters[:k], self.rank)
 
-    def inverse(self) -> "CyclicWord":
-        return _trusted(CyclicWord, tuple(map(operator.neg, reversed(self.letters))), self.rank)
-
 
 def _trusted(cls, *values):
     """An instance of the frozen slotted dataclass `cls` holding `values` in
@@ -194,33 +191,33 @@ class Substitution:
     """A homomorphism of free groups given by generator images.
 
     ``images[i]`` is the image of x_{i+1}; all images share a target rank.
+    ``letter_images[a]`` is the image's letters for the letter a, from the
+    table ((), w_1, .., w_n, w_n^-1, .., w_1^-1): a negative a wraps to an inverse.
 
     >>> s = Substitution([Word((1, 2), 2), Word((-2, 1), 2)])
     >>> substitute(s, Word((1, 2), 2))
     Word('x1 x1', rank=2)
     >>> s.raw_image(Word((1, -2), 2))
     [1, 2, -1, 2]
+    >>> s.letter_images[-1]
+    (-2, -1)
     """
 
     images: tuple[Word, ...]
     target_rank: int
-    _letter_images: dict[int, tuple[int, ...]]
+    letter_images: tuple[tuple[int, ...], ...]
 
     def __init__(self, images: Sequence[Word]):
         images = tuple(images)
         if not images:
             raise ValueError("substitution needs at least one generator image")
-        ranks = {w.rank for w in images}
-        if len(ranks) != 1:
+        if len({w.rank for w in images}) != 1:
             raise ValueError("generator images have mixed target ranks")
-        # letter g -> the letters of images[g - 1], letter -g -> its inverse's
-        letter_images = {}
-        for g, w in enumerate(images, start=1):
-            letter_images[g] = w.letters
-            letter_images[-g] = tuple(-a for a in reversed(w.letters))
+        letters = [w.letters for w in images]
+        inverses = [w.inverse().letters for w in reversed(images)]
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "target_rank", images[0].rank)
-        object.__setattr__(self, "_letter_images", letter_images)
+        object.__setattr__(self, "letter_images", ((), *letters, *inverses))
 
     @property
     def source_rank(self) -> int:
@@ -235,13 +232,13 @@ class Substitution:
             out.extend(images[a])
         return out
 
-    def _images_of(self, w: Word | CyclicWord) -> dict[int, tuple[int, ...]]:
+    def _images_of(self, w: Word | CyclicWord) -> tuple[tuple[int, ...], ...]:
         """The letter images, once w is known to be over the source rank."""
         if w.rank > self.source_rank:
             raise ValueError(
                 f"word over rank {w.rank} but substitution has {self.source_rank} images"
             )
-        return self._letter_images
+        return self.letter_images
 
 
 @dataclass(frozen=True, slots=True)
@@ -511,6 +508,11 @@ def parse_letters(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def infer_rank(words: Iterable[Sequence[int]], rank: int | None = None) -> int:
+    """`rank` when given, else the least rank holding every letter of `words`."""
+    return max((abs(a) for w in words for a in w), default=0) if rank is None else rank
+
+
 def parse_word(text: str, rank: int | None = None) -> Word:
     """Parse and freely reduce a word in the text encoding.
 
@@ -518,17 +520,13 @@ def parse_word(text: str, rank: int | None = None) -> Word:
     (1, 2, -1, -2)
     """
     letters = parse_letters(text)
-    if rank is None:
-        rank = max((abs(a) for a in letters), default=0)
-    return reduce(letters, rank)
+    return reduce(letters, infer_rank((letters,), rank))
 
 
 def parse_cyclic_word(text: str, rank: int | None = None) -> CyclicWord:
     """Parse a cyclically reduced word; raises if the text is not one."""
     letters = parse_letters(text)
-    if rank is None:
-        rank = max((abs(a) for a in letters), default=0)
-    return CyclicWord(letters, rank)
+    return CyclicWord(letters, infer_rank((letters,), rank))
 
 
 def format_word(w: Word | CyclicWord | Sequence[int]) -> str:

@@ -271,6 +271,23 @@ def test_experiment_requires_config_or_inline(capsys):
         main(["experiment", "--n", "2"])
 
 
+def test_experiment_config_without_a_required_key_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("predicate = b1\nn = 2\nlengths = 3\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": "config is missing 'm'"}
+
+
+def test_experiment_config_refuses_a_mistyped_flag(capsys, tmp_path):
+    # "ture" used to read as false and run without timing, exiting 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("predicate = b1\nn = 2\nm = 1\nlengths = 3\ntiming = ture\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": "not a true/false value: 'ture'"}
+
+
 def test_tau_count_json(capsys):
     code, out = run_cli(capsys, "tau-count", "--n", "2", "--l", "3")
     assert code == 0

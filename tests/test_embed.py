@@ -7,19 +7,22 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import relators
 from relators import embed
 
 from relators.abelian import Slope, enumerate_kernel_slopes, enumerate_valid_slopes
-from relators.embed import build_w_words, embed_presentation
+from relators.embed import BlockHeightExceeded, build_w_words, embed_presentation
 from relators.mincond import (
+    MinConditionFailure,
     _height_steps,
     _heights,
     check_minimum_condition,
     height_profile,
     standard_witness,
+    standardize,
+    tau_slope,
 )
 from relators.smallcanc import check_small_cancellation, longest_piece
 from relators.words import (
@@ -261,7 +264,7 @@ def test_raw_min_height_matches_the_streamed_heights(case):
     m, words, r = case
     step = _height_steps(embed._target_slope(m))
     raw = Substitution(words).raw_image(r)
-    assert embed._raw_min_height(r.letters, embed._image_heights(words, step)) == min(_heights(raw, step))
+    assert embed._raw_min_height(r.letters, embed._image_heights(Substitution(words), step)) == min(_heights(raw, step))
 
 
 def test_block_height_skip_rejects_only_small_heights():
@@ -338,6 +341,15 @@ def test_checks_survive_python_dash_O():
             print("w-words:", exc)
         embed.Word = Word
 
+        # psi minima off by one break psi_min = phi_min - N(N+1)/2
+        raw_min_height = embed._raw_min_height
+        embed._raw_min_height = lambda letters, heights: raw_min_height(letters, heights) + 1
+        try:
+            embed.embed_presentation(Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),)), Slope((0, 2, -1)))
+        except AssertionError as exc:
+            print("psi:", exc)
+        embed._raw_min_height = raw_min_height
+
         # a target read twice over leaves its length band
         embed.substitute = lambda sub, r: substitute(sub, CyclicWord(r.letters * 2, r.rank))
         embed.standard_witness = lambda target, psi: mincond.MinConditionWitness(2, (1,), ("edge",), (1, 1))
@@ -367,8 +379,9 @@ def test_checks_survive_python_dash_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    words, target, std = done.stdout.splitlines()
+    words, psi, target, std = done.stdout.splitlines()
     assert words == "w-words: psi(w_1) != phi(x_1)"
+    assert psi == "psi: psi_min != phi_min - N(N+1)/2"
     assert target.startswith("target: |s_1| = ") and target.endswith(" is outside its length band")
     assert std == "standardize: standardized slope is not negative on x_n"
 
@@ -382,3 +395,118 @@ def test_target_that_psi_does_not_annihilate_raises_the_invariant(monkeypatch):
     p = Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),))
     with pytest.raises(AssertionError, match=r"^psi\(s_1\) != 0$"):
         embed_presentation(p, Slope((0, 2, -1)))
+
+
+def test_broken_psi_identity_raises_instead_of_skipping_the_height(monkeypatch):
+    """psi_min = phi_min - N(N+1)/2 is a fact of the construction, not a
+    search criterion: minima that miss it raise at the first height the
+    w-words pass, instead of moving the search on."""
+    raw_min_height = embed._raw_min_height
+    monkeypatch.setattr(embed, "_raw_min_height", lambda *a: raw_min_height(*a) - 1)
+    p = Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),))
+    with pytest.raises(AssertionError, match=r"^psi_min != phi_min - N\(N\+1\)/2$"):
+        embed_presentation(p, Slope((0, 2, -1)))
+
+
+def test_failed_identity_witness_raises_instead_of_skipping_the_height(monkeypatch):
+    failure = MinConditionFailure(0, "no-assignment", "identity roles (x1, x2) not admissible")
+    monkeypatch.setattr(embed, "standard_witness", lambda target, psi: failure)
+    p = Presentation(3, (parse_cyclic_word("x3 x1 X3 X1", 3),))
+    with pytest.raises(
+        AssertionError,
+        match=r"^the target fails the identity witness: identity roles \(x1, x2\) not admissible$",
+    ):
+        embed_presentation(p, Slope((0, 2, -1)))
+
+
+@st.composite
+def embedding_sources(draw):
+    """(p, phi, epsilon): n = 3-5 generators, 1 <= m <= n-2 relators under
+    the minimum condition for phi, and epsilon when the source qualifies for
+    the C'(1/6) guarantee (None otherwise).
+
+    Either the relators are random and phi is the first primitive kernel
+    slope in box 3 that is 0 on some generator and gives the minimum
+    condition, or any tuple, proper powers and repeated relators included,
+    is sent through `tau_slope` under its first valid slope in box 3, which
+    gives it the minimum condition.  A guaranteed source is 56 random
+    letters per relator, epsilon the least 72/k with every length above
+    12 + 72/epsilon, and passes C'(1/(6 + epsilon))."""
+    n = draw(st.integers(3, 5))
+    m = draw(st.integers(1, n - 2))
+    guarantee = draw(st.booleans())
+    zero = draw(st.booleans())
+    power = not (guarantee or zero) and draw(st.sampled_from((1, 2, 3)))
+    repeat = not (guarantee or zero) and m >= 2 and draw(st.booleans())
+    length = 56 if guarantee else draw(st.sampled_from((6, 10, 16, 30)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(100):
+        relators = [sample_cyclically_reduced(n, length, rng) for _ in range(m)]
+        if power > 1:
+            u = sample_cyclically_reduced(n, length // power, rng)
+            relators[0] = CyclicWord(u.letters * power, n)
+        if repeat:
+            relators[-1] = relators[0]
+        p = Presentation(n, relators)
+        if zero:
+            slopes = enumerate_kernel_slopes(p, 3, primitive_only=True)
+            phi = next((s for s in slopes if 0 in s.values and check_minimum_condition(relators, s)), None)
+        else:
+            phi = next(iter(enumerate_valid_slopes(p, 3)), None)
+            if phi is not None:
+                p = Presentation(n, tau_slope(relators, phi))
+        if phi is None:
+            continue
+        if not guarantee:
+            return p, phi, None
+        eps = Fraction(72, min(map(len, p.relators)) - 13)
+        if check_small_cancellation(p.relators, 1 / (6 + eps))[0]:
+            return p, phi, eps
+    reject()
+
+
+def _first_accepted_height(p, phi, guarantee):
+    """The least N >= n_start passing the visible-piece check and the w-words'
+    C'(1/12) scan and, when guaranteed, the target's C'(1/6) scan; None up to
+    the default cap.  At every height tried, rejected ones included, it also
+    checks the two identities the search treats as invariants: psi_min =
+    phi_min - N(N+1)/2 on the raw image loops, walked letter by letter, and
+    the target's identity witness."""
+    relators, std, _ = standardize(p.relators, phi, check_minimum_condition(p.relators, phi))
+    n, m = p.rank, len(relators)
+    psi = embed._target_slope(m)
+    step = _height_steps(psi)
+    y_lens = [1 if i <= m else i - m + 1 for i in range(1, n)]
+    for big_n in range(max(2, max(map(abs, std.values)) + 1), 65):
+        words = build_w_words(n, m, std, big_n)
+        sub = Substitution(words)
+        for r in relators:
+            phi_min = min(height_profile(r, std).vertex_heights)
+            assert min(_heights(sub.raw_image(r), step)) == phi_min - big_n * (big_n + 1) // 2
+        target = tuple(cyclic_reduce(substitute(sub, r))[0] for r in relators)
+        assert not isinstance(standard_witness(target, psi), MinConditionFailure)
+        if any(embed._visible_piece(w, big_n, y) for w, y in zip(words, y_lens)):
+            continue
+        if not check_small_cancellation(tuple(CyclicWord(w.letters, m + 1) for w in words), Fraction(1, 12))[0]:
+            continue
+        if guarantee and not check_small_cancellation(target, Fraction(1, 6))[0]:
+            continue
+        return big_n
+    return None
+
+
+@given(embedding_sources())
+@settings(max_examples=25, deadline=None)
+def test_search_rejects_heights_only_on_small_cancellation(case):
+    # neither invariant fires (an AssertionError fails the test), and the
+    # search stops at the first height the small-cancellation checks accept
+    p, phi, eps = case
+    for kwargs in [{}] + ([{"epsilon": eps, "guarantee_c16": True}] if eps else []):
+        expected = _first_accepted_height(p, phi, bool(kwargs))
+        try:
+            plan, report = embed_presentation(p, phi, **kwargs)
+        except BlockHeightExceeded:
+            assert expected is None
+            continue
+        assert plan.block_growth == expected
+        assert report.psi_min == tuple(f - expected * (expected + 1) // 2 for f in report.phi_min)

@@ -519,6 +519,20 @@ def test_parse_config_full():
     assert cfg.out == "runs.csv"
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("1", True), ("true", True), ("YES", True), ("True", True), ("0", False), ("false", False), ("No", False)],
+)
+def test_timing_flag_texts(text, value):
+    assert parse_config(f"predicate = b1\nn = 3\nm = 2\nlengths = 4\ntiming = {text}").timing is value
+
+
+@pytest.mark.parametrize("text", ["ture", "on", "2", ""])
+def test_timing_flag_refuses_other_text(text):
+    with pytest.raises(ValueError, match=f"^not a true/false value: {text!r}$"):
+        parse_config(f"predicate = b1\nn = 3\nm = 2\nlengths = 4\ntiming = {text}")
+
+
 def test_parse_config_defaults_and_errors():
     cfg = parse_config("predicate = b1\nn = 3\nm = 2\nlengths = 4")
     assert cfg.mode == "monte-carlo"

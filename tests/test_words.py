@@ -117,6 +117,42 @@ def test_cyclic_word_requires_cyclic_reduction():
         CyclicWord((1, 2, -1), 2)  # last letter inverts the first
 
 
+def test_non_integral_letters_are_refused():
+    # 1.5 is in no rank's range: read as x1 it would scan as x1 and count as
+    # neither x1 nor X1 in an exponent sum
+    for build, letters in ((Word, (1.5, 2)), (CyclicWord, (1.5, -2)), (reduce, (2, 1.5))):
+        with pytest.raises(ValueError, match=r"^letter 1\.5 out of range for rank 2$"):
+            build(letters, 2)
+
+
+@st.composite
+def letter_tuples(draw):
+    """(letters, rank): rank 0-4 and up to 8 letters, each an integer in
+    -rank-1..rank+1 or a non-integral float of that size."""
+    rank = draw(st.integers(0, 4))
+    floats = st.floats(-rank - 1, rank + 1).filter(lambda x: not x.is_integer())
+    return tuple(draw(st.lists(st.one_of(st.integers(-rank - 1, rank + 1), floats), max_size=8))), rank
+
+
+@given(letter_tuples())
+def test_letters_are_nonzero_integers_within_the_rank(case):
+    """`reduce` accepts a tuple exactly when every letter is a nonzero integer
+    value within the rank; it, `Word` and `CyclicWord` name the first letter
+    that is not, in input order, before any reducedness is checked."""
+    letters, rank = case
+    bad = [a for a in letters if not (float(a).is_integer() and 0 < abs(a) <= rank)]
+    for build in (reduce, Word, CyclicWord):
+        try:
+            build(letters, rank)
+        except ValueError as exc:
+            if bad:
+                assert str(exc) == f"letter {bad[0]} out of range for rank {rank}"
+            else:
+                assert build is not reduce and "out of range" not in str(exc)
+        else:
+            assert not bad
+
+
 def test_cyclic_word_rotation_and_inverse():
     w = parse_cyclic_word("x1 x2 X1 X2", 2)
     assert w.rotation(1).letters == (2, -1, -2, 1)
@@ -493,6 +529,15 @@ def test_substitute_cancels_to_the_identity():
     assert substitute(s, CyclicWord((1, 2, 3), 3)) == Word((), 2)
     assert substitute(s, Word((3, 2, 3, 1, 3), 3)) == Word((), 2)
     assert substitute(s, CyclicWord((1, 3, 1), 3)) == Word((1, 2, 2, -1), 2)
+
+
+@given(st.lists(words_st, min_size=1, max_size=4))
+def test_letter_image_table_is_indexed_by_signed_letter(images):
+    table = Substitution(images).letter_images
+    assert len(table) == 2 * len(images) + 1 and table[0] == ()
+    for g, w in enumerate(images, 1):
+        assert table[g] == w.letters
+        assert table[-g] == w.inverse().letters
 
 
 @given(st.one_of(words_st, cyclic_words_st, presentations_st))
