@@ -113,7 +113,7 @@ def _read_presentation(path: str, rank: Optional[int]) -> Presentation:
     words = [parse_letters(line) for line in _read_lines(path)]
     if not words:
         raise ValueError("no relators in input")
-    rank = infer_rank(words, rank)
+    rank = rank if rank is not None else infer_rank(words)
     return Presentation(rank, [CyclicWord(w, rank) for w in words])
 
 

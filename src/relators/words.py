@@ -42,39 +42,19 @@ def letter_order(a: int) -> int:
     return 2 * (abs(a) - 1) + (1 if a < 0 else 0)
 
 
-@cache
-def _rank_letters(rank: int) -> frozenset[int]:
-    return frozenset(_letters_in_order(rank))
-
-
 def _check_letters(letters: Sequence[int], rank: int) -> None:
-    """Raise unless every letter is a value in +-1..+-rank (so an integer)."""
+    """Raise unless every distinct letter is a value in +-1..+-rank, so integral."""
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
-    allowed = _rank_letters(rank)
-    if not allowed.issuperset(letters):  # the loop only names the letter
-        bad = next(a for a in letters if a not in allowed)
-        raise ValueError(f"letter {bad} out of range for rank {rank}")
+    bad = [a for a in set(letters) if not (0 < abs(a) <= rank and a == int(a))]
+    if bad:
+        raise ValueError(f"letter {min(bad, key=letters.index)} out of range for rank {rank}")
 
 
 class _Letters:
-    """What `Word` and `CyclicWord` share: a letter tuple over a rank, checked on construction."""
+    """What `Word` and `CyclicWord` share: a letter tuple over a rank."""
 
     __slots__ = ()
-    _cyclic = False
-
-    def __init__(self, letters: Iterable[int], rank: int):
-        letters = tuple(letters)
-        if self._cyclic and not letters:
-            raise ValueError("cyclic word must be nonempty")
-        _check_letters(letters, rank)
-        after = letters[1:] + letters[:1] if self._cyclic else letters[1:]
-        if not all(map(operator.add, letters, after)):  # the loop only names the position
-            k = next(k for k, (a, b) in enumerate(zip(letters, after)) if a == -b)
-            kind = "cyclically" if self._cyclic else "freely"
-            raise ValueError(f"word is not {kind} reduced at position {k}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "rank", rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -111,6 +91,15 @@ class Word(_Letters):
     letters: tuple[int, ...]
     rank: int
 
+    def __init__(self, letters: Iterable[int], rank: int):
+        letters = tuple(letters)
+        _check_letters(letters, rank)
+        if not all(map(operator.add, letters, letters[1:])):  # the loop only names the position
+            k = next(k for k in range(len(letters) - 1) if letters[k] == -letters[k + 1])
+            raise ValueError(f"word is not freely reduced at position {k}")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
+
     def __getitem__(self, k):
         return self.letters[k]
 
@@ -145,7 +134,18 @@ class CyclicWord(_Letters):
 
     letters: tuple[int, ...]
     rank: int
-    _cyclic = True
+
+    def __init__(self, letters: Iterable[int], rank: int):
+        letters = tuple(letters)
+        if not letters:
+            raise ValueError("cyclic word must be nonempty")
+        _check_letters(letters, rank)
+        after = letters[1:] + letters[:1]
+        if not all(map(operator.add, letters, after)):  # the loop only names the position
+            k = next(k for k, (a, b) in enumerate(zip(letters, after)) if a == -b)
+            raise ValueError(f"word is not cyclically reduced at position {k}")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
 
     def cyclic_letter(self, k: int) -> int:
         return self.letters[k % len(self.letters)]
@@ -508,9 +508,9 @@ def parse_letters(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def infer_rank(words: Iterable[Sequence[int]], rank: int | None = None) -> int:
-    """`rank` when given, else the least rank holding every letter of `words`."""
-    return max((abs(a) for w in words for a in w), default=0) if rank is None else rank
+def infer_rank(words: Iterable[Sequence[int]]) -> int:
+    """The least rank holding every letter of `words`."""
+    return max((abs(a) for w in words for a in w), default=0)
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:
@@ -520,13 +520,13 @@ def parse_word(text: str, rank: int | None = None) -> Word:
     (1, 2, -1, -2)
     """
     letters = parse_letters(text)
-    return reduce(letters, infer_rank((letters,), rank))
+    return reduce(letters, rank if rank is not None else infer_rank([letters]))
 
 
 def parse_cyclic_word(text: str, rank: int | None = None) -> CyclicWord:
     """Parse a cyclically reduced word; raises if the text is not one."""
     letters = parse_letters(text)
-    return CyclicWord(letters, infer_rank((letters,), rank))
+    return CyclicWord(letters, rank if rank is not None else infer_rank([letters]))
 
 
 def format_word(w: Word | CyclicWord | Sequence[int]) -> str:

@@ -468,10 +468,10 @@ def embedding_sources(draw):
 def _first_accepted_height(p, phi, guarantee):
     """The least N >= n_start passing the visible-piece check and the w-words'
     C'(1/12) scan and, when guaranteed, the target's C'(1/6) scan; None up to
-    the default cap.  At every height tried, rejected ones included, it also
-    checks the two identities the search treats as invariants: psi_min =
-    phi_min - N(N+1)/2 on the raw image loops, walked letter by letter, and
-    the target's identity witness."""
+    the default cap.  At every height whose w-words pass C'(1/12), as in the
+    search, it also checks the two identities the search treats as
+    invariants: psi_min = phi_min - N(N+1)/2 on the raw image loops, walked
+    letter by letter, and the target's identity witness."""
     relators, std, _ = standardize(p.relators, phi, check_minimum_condition(p.relators, phi))
     n, m = p.rank, len(relators)
     psi = embed._target_slope(m)
@@ -479,16 +479,16 @@ def _first_accepted_height(p, phi, guarantee):
     y_lens = [1 if i <= m else i - m + 1 for i in range(1, n)]
     for big_n in range(max(2, max(map(abs, std.values)) + 1), 65):
         words = build_w_words(n, m, std, big_n)
+        if any(embed._visible_piece(w, big_n, y) for w, y in zip(words, y_lens)):
+            continue
+        if not check_small_cancellation(tuple(CyclicWord(w.letters, m + 1) for w in words), Fraction(1, 12))[0]:
+            continue
         sub = Substitution(words)
         for r in relators:
             phi_min = min(height_profile(r, std).vertex_heights)
             assert min(_heights(sub.raw_image(r), step)) == phi_min - big_n * (big_n + 1) // 2
         target = tuple(cyclic_reduce(substitute(sub, r))[0] for r in relators)
         assert not isinstance(standard_witness(target, psi), MinConditionFailure)
-        if any(embed._visible_piece(w, big_n, y) for w, y in zip(words, y_lens)):
-            continue
-        if not check_small_cancellation(tuple(CyclicWord(w.letters, m + 1) for w in words), Fraction(1, 12))[0]:
-            continue
         if guarantee and not check_small_cancellation(target, Fraction(1, 6))[0]:
             continue
         return big_n

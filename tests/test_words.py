@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,17 @@ def test_non_integral_letters_are_refused():
     for build, letters in ((Word, (1.5, 2)), (CyclicWord, (1.5, -2)), (reduce, (2, 1.5))):
         with pytest.raises(ValueError, match=r"^letter 1\.5 out of range for rank 2$"):
             build(letters, 2)
+
+
+def test_letter_check_does_not_grow_with_the_rank():
+    # a rank read from outside input (x100000000 in a relator file) costs
+    # no table of its letters
+    start = time.perf_counter()
+    assert Word((1, -10**9), 10**9).letters == (1, -10**9)
+    assert CyclicWord((2,), 10**9).letters == (2,)
+    with pytest.raises(ValueError, match=r"^letter 1\.5 out of range for rank 1000000000$"):
+        reduce((1, 1.5), 10**9)
+    assert time.perf_counter() - start < 0.5
 
 
 @st.composite
